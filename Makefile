@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test race bench benchgate benchgate-baseline serve-gate serve-gate-baseline pipeline-gate pipeline-gate-baseline capacity-gate capacity-gate-baseline qos-gate qos-gate-baseline trace-gate cluster-gate cluster-gate-baseline wire-gate wire-gate-baseline loadgen openloop sortd sortc soak chaos chaos-quick experiments experiments-quick stress obs fmt vet lint cover
+.PHONY: all test race bench benchgate benchgate-baseline serve-gate serve-gate-baseline pipeline-gate pipeline-gate-baseline capacity-gate capacity-gate-baseline qos-gate qos-gate-baseline trace-gate cluster-gate cluster-gate-baseline wire-gate wire-gate-baseline loadgen openloop sortd sortc soak chaos chaos-quick perfbench-test experiments experiments-quick stress obs fmt vet lint cover
 
 all: vet test
 
@@ -120,6 +120,13 @@ chaos:
 
 chaos-quick:
 	go run ./cmd/chaos -quick
+
+# The end-to-end benchmark's self-test (its own module): every workload
+# at tiny sizes, every metric printed with its unit, the oracles catching
+# a flipped key. It is the only test that fails when a kernel emits a
+# phase label or metric the traced run does not know.
+perfbench-test:
+	cd perfbench && go test -race -count=1 .
 
 experiments:
 	go run ./cmd/experiments

@@ -28,11 +28,8 @@ import (
 	"os"
 	"time"
 
-	"wfsort/internal/chaos"
-	"wfsort/internal/core"
 	"wfsort/internal/harness"
-	"wfsort/internal/lowcont"
-	"wfsort/internal/model"
+	"wfsort/internal/layout"
 	"wfsort/internal/native"
 	"wfsort/internal/obs"
 	"wfsort/internal/pram"
@@ -118,40 +115,40 @@ func (c *campaign) oneSim() (string, error) {
 	seed := c.rng.Uint64()
 	keys := harness.MakeKeys(input, n, seed)
 
-	variants := []string{"det", "rand", "lowcont"}
-	variant := variants[c.rng.Intn(len(variants))]
-	if variant == "lowcont" && (p < 4 || n < p) {
-		variant = "rand"
-	}
+	variant := c.pickVariant(n, p)
 
 	sched, schedName := c.randomSchedule(p, seed)
 	label := fmt.Sprintf("sim variant=%s n=%d p=%d input=%s sched=%s seed=%d",
 		variant, n, p, input, schedName, seed)
 
-	var a model.Arena
-	var prog model.Program
-	var seedFn func([]model.Word)
-	var places func([]model.Word) []int
-	switch variant {
-	case "det":
-		s := core.NewSorter(&a, n, core.AllocWAT)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
-	case "rand":
-		s := core.NewSorter(&a, n, core.AllocRandomized)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
-	default:
-		s := lowcont.New(&a, n, p)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
+	s, a, err := layout.New(layout.Flat, variants[variant], n, p)
+	if err != nil {
+		return label, err
 	}
 	m := pram.New(pram.Config{
 		P: p, Mem: a.Size(), Seed: seed, Sched: sched,
 		Less: harness.LessFor(keys),
 	})
-	seedFn(m.Memory())
-	if _, err := m.Run(prog); err != nil {
+	s.Seed(m.Memory())
+	if _, err := m.Run(s.Program()); err != nil {
 		return label, err
 	}
-	return label, verifyRanks(keys, places(m.Memory()))
+	return label, verifyRanks(keys, s.Places(m.Memory()))
+}
+
+// variants maps the campaign's variant names to the algorithms.
+var variants = map[string]layout.Variant{
+	"det": layout.Deterministic, "rand": layout.Randomized, "lowcont": layout.LowContention,
+}
+
+// pickVariant draws a variant name, falling back to "rand" below the
+// §3 sort's regime so labels name what actually ran.
+func (c *campaign) pickVariant(n, p int) string {
+	variant := [...]string{"det", "rand", "lowcont"}[c.rng.Intn(3)]
+	if variant == "lowcont" && (p < 4 || n < p) {
+		variant = "rand"
+	}
+	return variant
 }
 
 // oneNative runs one configuration on real goroutines with the
@@ -164,34 +161,15 @@ func (c *campaign) oneNative() (string, error) {
 	seed := c.rng.Uint64()
 	keys := harness.MakeKeys(input, n, seed)
 
-	variants := []string{"det", "rand", "lowcont"}
-	variant := variants[c.rng.Intn(len(variants))]
-	if variant == "lowcont" && (p < 4 || n < p) {
-		variant = "rand"
-	}
-	layout := chaos.Layouts()[c.rng.Intn(len(chaos.Layouts()))]
+	variant := c.pickVariant(n, p)
+	l := layout.All()[c.rng.Intn(len(layout.All()))]
 
 	label := fmt.Sprintf("native variant=%s n=%d p=%d input=%s layout=%s seed=%d",
-		variant, n, p, input, layout, seed)
+		variant, n, p, input, l, seed)
 
-	var alloc model.Allocator
-	var prog model.Program
-	var seedFn func([]model.Word)
-	var places func([]model.Word) []int
-	var live func(mem []model.Word) (sized, placed int)
-	switch variant {
-	case "det", "rand":
-		a, tun := chaos.ArenaFor(n, p, layout)
-		allocKind := core.AllocRandomized
-		if variant == "det" {
-			allocKind = core.AllocWAT
-		}
-		s := core.NewSorterTuned(a, n, allocKind, tun)
-		alloc, prog, seedFn, places, live = a, s.Program(), s.Seed, s.Places, s.LiveProgress
-	default:
-		a := native.NewArena(native.Padded)
-		s := lowcont.New(a, n, p)
-		alloc, prog, seedFn, places, live = a, s.Program(), s.Seed, s.Places, s.LiveProgress
+	s, alloc, err := layout.New(l, variants[variant], n, p)
+	if err != nil {
+		return label, err
 	}
 
 	ob := obs.New(obs.Config{RingCap: 1024, SnapshotEvery: 256})
@@ -199,13 +177,13 @@ func (c *campaign) oneNative() (string, error) {
 		P: p, Mem: alloc.Size(), Seed: seed,
 		Less: harness.LessFor(keys), Observer: ob,
 	})
-	ob.SetProgress(func() (int, int) { return live(rt.Memory()) })
+	ob.SetProgress(func() (int, int) { return s.LiveProgress(rt.Memory()) })
 	obs.Publish(ob)
-	seedFn(rt.Memory())
-	if _, err := rt.Run(prog); err != nil {
+	s.Seed(rt.Memory())
+	if _, err := rt.Run(s.Program()); err != nil {
 		return label, err
 	}
-	return label, verifyRanks(keys, places(rt.Memory()))
+	return label, verifyRanks(keys, s.Places(rt.Memory()))
 }
 
 // verifyRanks checks the claimed 1-based ranks against the true ones.

@@ -26,13 +26,11 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 
-	"wfsort/internal/chaos"
-	"wfsort/internal/core"
 	"wfsort/internal/harness"
-	"wfsort/internal/lowcont"
-	"wfsort/internal/model"
+	"wfsort/internal/layout"
 	"wfsort/internal/native"
 	"wfsort/internal/obs"
 	"wfsort/internal/pram"
@@ -80,21 +78,13 @@ func runSim(w io.Writer, n, p int, variant string, seed uint64, metric string, w
 	}
 	keys := harness.MakeKeys(harness.InputRandom, n, seed)
 
-	var a model.Arena
-	var prog model.Program
-	var seedFn func([]model.Word)
-	switch variant {
-	case "det":
-		s := core.NewSorter(&a, n, core.AllocWAT)
-		prog, seedFn = s.Program(), s.Seed
-	case "rand":
-		s := core.NewSorter(&a, n, core.AllocRandomized)
-		prog, seedFn = s.Program(), s.Seed
-	case "lowcont":
-		s := lowcont.New(&a, n, p)
-		prog, seedFn = s.Program(), s.Seed
-	default:
+	v, ok := variants[variant]
+	if !ok {
 		return fmt.Errorf("unknown variant %q", variant)
+	}
+	s, a, err := layout.New(layout.Flat, v, n, p)
+	if err != nil {
+		return err
 	}
 
 	rec := trace.NewRecorder()
@@ -104,8 +94,8 @@ func runSim(w io.Writer, n, p int, variant string, seed uint64, metric string, w
 		Less:     harness.LessFor(keys),
 		Observer: trace.Multi(rec.Observer(), profile.Observer()),
 	})
-	seedFn(m.Memory())
-	met, err := m.Run(prog)
+	s.Seed(m.Memory())
+	met, err := m.Run(s.Program())
 	if err != nil {
 		return err
 	}
@@ -136,41 +126,21 @@ func runNative(w io.Writer, n, p int, variant, layoutName string, seed uint64, o
 	if p <= 0 {
 		p = min(runtime.GOMAXPROCS(0), n)
 	}
-	var layout chaos.Layout
-	switch layoutName {
-	case "sharded":
-		layout = chaos.LayoutSharded
-	case "padded":
-		layout = chaos.LayoutPadded
-	case "flat":
-		layout = chaos.LayoutFlat
-	default:
+	i := slices.IndexFunc(layout.All(), func(l layout.Layout) bool { return l.String() == layoutName })
+	if i < 0 {
 		return fmt.Errorf("unknown layout %q (valid: sharded, padded, flat)", layoutName)
 	}
-	keys := harness.MakeKeys(harness.InputRandom, n, seed)
-
-	var alloc model.Allocator
-	var prog model.Program
-	var seedFn func([]model.Word)
-	var places func([]model.Word) []int
-	switch variant {
-	case "det", "rand":
-		a, tun := chaos.ArenaFor(n, p, layout)
-		allocKind := core.AllocRandomized
-		if variant == "det" {
-			allocKind = core.AllocWAT
-		}
-		s := core.NewSorterTuned(a, n, allocKind, tun)
-		alloc, prog, seedFn, places = a, s.Program(), s.Seed, s.Places
-	case "lowcont":
-		if p < 4 || n < p {
-			return fmt.Errorf("lowcont needs p >= 4 and n >= p, got n=%d p=%d", n, p)
-		}
-		a := native.NewArena(native.Padded)
-		s := lowcont.New(a, n, p)
-		alloc, prog, seedFn, places = a, s.Program(), s.Seed, s.Places
-	default:
+	v, ok := variants[variant]
+	if !ok {
 		return fmt.Errorf("unknown variant %q", variant)
+	}
+	if v == layout.LowContention && (p < 4 || n < p) {
+		return fmt.Errorf("lowcont needs p >= 4 and n >= p, got n=%d p=%d", n, p)
+	}
+	keys := harness.MakeKeys(harness.InputRandom, n, seed)
+	s, alloc, err := layout.New(layout.All()[i], v, n, p)
+	if err != nil {
+		return err
 	}
 
 	ob := obs.New(obs.Config{})
@@ -178,18 +148,23 @@ func runNative(w io.Writer, n, p int, variant, layoutName string, seed uint64, o
 		P: p, Mem: alloc.Size(), Seed: seed,
 		Less: harness.LessFor(keys), CountOps: true, Observer: ob,
 	})
-	seedFn(rt.Memory())
-	met, err := rt.Run(prog)
+	s.Seed(rt.Memory())
+	met, err := rt.Run(s.Program())
 	if err != nil {
 		return err
 	}
-	if !ranksSorted(keys, places(rt.Memory())) {
+	if !ranksSorted(keys, s.Places(rt.Memory())) {
 		return fmt.Errorf("native run output is not sorted")
 	}
 	return writeTrace(w, out, obs.NewTrace().AddObserver(ob), func() {
 		fmt.Fprintf(w, "%s sort (native %s), N=%d P=%d: elapsed=%v\n%s\n",
 			variant, layoutName, n, p, rt.Elapsed, met)
 	})
+}
+
+// variants maps the -variant names to the algorithms.
+var variants = map[string]layout.Variant{
+	"det": layout.Deterministic, "rand": layout.Randomized, "lowcont": layout.LowContention,
 }
 
 // writeTrace emits the Perfetto JSON to out (printing the summary to w)

@@ -14,6 +14,7 @@ import (
 
 	"wfsort"
 	"wfsort/internal/chaos"
+	"wfsort/internal/layout"
 	"wfsort/internal/qos"
 	"wfsort/internal/server"
 )
@@ -34,7 +35,7 @@ func FuzzSort(f *testing.F) {
 	f.Add([]byte{}, uint8(3), uint8(0), uint8(2), uint64(1), uint8(1), uint64(9))
 	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(6), uint8(1), uint8(0), uint64(5), uint8(4), uint64(11))
 	f.Add(bytes.Repeat([]byte{42}, 64), uint8(8), uint8(1), uint8(0), uint64(6), uint8(7), uint64(13))
-	f.Fuzz(func(t *testing.T, raw []byte, workers, variant, layout uint8, seed uint64, killFrac uint8, faultSeed uint64) {
+	f.Fuzz(func(t *testing.T, raw []byte, workers, variant, lay uint8, seed uint64, killFrac uint8, faultSeed uint64) {
 		data := make([]int, len(raw))
 		for i, b := range raw {
 			data[i] = int(b)
@@ -45,7 +46,7 @@ func FuzzSort(f *testing.F) {
 
 		p := int(workers)%32 + 1
 		v := wfsort.Variant(variant % 3)
-		l := wfsort.Layout(layout % 3)
+		l := wfsort.Layout(lay % 3)
 		err := wfsort.Sort(data, wfsort.WithWorkers(p), wfsort.WithVariant(v),
 			wfsort.WithLayout(l), wfsort.WithSeed(seed))
 		if err != nil {
@@ -75,7 +76,7 @@ func FuzzSort(f *testing.F) {
 			cp := int(workers)%8 + 2
 			window := int64(len(keys) + 1)
 			spec := chaos.Spec{
-				Keys: keys, P: cp, Layout: chaos.Layout(layout % 3), Seed: seed,
+				Keys: keys, P: cp, Layout: layout.All()[lay%3], Seed: seed,
 				Crashes: chaos.CrashQuorum(cp, frac, window, faultSeed),
 			}
 			res, err := chaos.RunNative(spec)

@@ -15,8 +15,12 @@
 //     internal/pram and internal/native (across every arena layout) and
 //     require identical sorted output.
 //
-// cmd/chaos sweeps adversary policies x P x layouts and emits a JSON
-// report; the CI chaos-smoke job runs a small sweep under -race.
+// Every native run builds its sort through layout.New, the mapping the
+// root package uses, so the sharded leg certifies the block-leaf kernel
+// that wfsort runs by default and the padded and flat legs the paper's
+// pivot tree. cmd/chaos sweeps adversary policies x P x layouts and
+// emits a JSON report; the CI chaos-smoke job runs a small sweep under
+// -race.
 package chaos
 
 import (
@@ -27,69 +31,13 @@ import (
 	"sort"
 	"time"
 
-	"wfsort/internal/core"
-	"wfsort/internal/lowcont"
+	"wfsort/internal/layout"
 	"wfsort/internal/model"
 	"wfsort/internal/native"
 	"wfsort/internal/obs"
 	"wfsort/internal/pram"
 	"wfsort/internal/xrand"
 )
-
-// Layout selects the native arena layout, mirroring the public
-// wfsort.Layout values (this package cannot import the root package).
-type Layout int
-
-// Native arena layouts, fastest first.
-const (
-	LayoutSharded Layout = iota
-	LayoutPadded
-	LayoutFlat
-)
-
-// String returns the layout's mnemonic.
-func (l Layout) String() string {
-	switch l {
-	case LayoutSharded:
-		return "sharded"
-	case LayoutPadded:
-		return "padded"
-	case LayoutFlat:
-		return "flat"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
-// Layouts lists every native arena layout.
-func Layouts() []Layout { return []Layout{LayoutSharded, LayoutPadded, LayoutFlat} }
-
-// ArenaFor mirrors the root package's layout -> (allocator, tuning)
-// mapping (wfsort.nativeArena); keep the two in sync. Exported so the
-// native-runtime CLIs (cmd/trace, cmd/stress) build the same arenas
-// the sweep certifies.
-func ArenaFor(n, workers int, l Layout) (model.Allocator, core.Tuning) {
-	switch l {
-	case LayoutFlat:
-		return &model.Arena{}, core.Tuning{}
-	case LayoutPadded:
-		return native.NewArena(native.Padded), core.Tuning{}
-	default: // LayoutSharded
-		batch := n / (4 * workers)
-		if batch > 128 {
-			batch = 128
-		}
-		if batch < 1 {
-			batch = 1
-		}
-		return native.NewArena(native.Padded), core.Tuning{
-			Batch:       batch,
-			SkipKeyRead: true,
-			Shards:      min(workers, 8),
-			HostShuffle: true,
-		}
-	}
-}
 
 // Stall schedules one injected delay: Yields scheduler yields before
 // processor PID's Op-th operation.
@@ -106,7 +54,7 @@ type Spec struct {
 	// P is the worker count.
 	P int
 	// Layout is the native arena layout (ignored by RunPram).
-	Layout Layout
+	Layout layout.Layout
 	// Seed drives the algorithm's random choices.
 	Seed uint64
 	// Crashes is the shared crash schedule: op ordinals on native,
@@ -118,9 +66,9 @@ type Spec struct {
 	Revives int
 	// Stalls are injected delays (native only).
 	Stalls []Stall
-	// LowCont runs the §3 low-contention variant instead of the §2
-	// randomized sort (needs P >= 4 and N >= P; layout tuning does not
-	// apply — the §3 machinery has its own contention story).
+	// LowCont runs the §3 low-contention variant on the dense arena
+	// instead of the §2 randomized sort (needs P >= 4 and N >= P; Layout
+	// does not apply — the §3 machinery has its own contention story).
 	LowCont bool
 	// TraceOut, when non-empty, attaches an internal/obs observer to
 	// the native run and, if the run fails to sort or certify, writes a
@@ -308,21 +256,14 @@ func RunNative(spec Spec) (res Result, err error) {
 		res.Layout = "dense"
 	}
 
-	var (
-		alloc    model.Allocator
-		prog     model.Program
-		seedFn   func([]model.Word)
-		places   func([]model.Word) []int
-		progress func([]model.Word) (int, int)
-	)
+	l, v := spec.Layout, layout.Randomized
 	if spec.LowCont {
-		a := &model.Arena{}
-		s := lowcont.New(a, n, spec.P)
-		alloc, prog, seedFn, places, progress = a, s.Program(), s.Seed, s.Places, s.Progress
-	} else {
-		a, tun := ArenaFor(n, spec.P, spec.Layout)
-		s := core.NewSorterTuned(a, n, core.AllocRandomized, tun)
-		alloc, prog, seedFn, places, progress = a, s.Program(), s.Seed, s.Places, s.Progress
+		l, v = layout.Flat, layout.LowContention
+	}
+	s, alloc, err := layout.New(l, v, n, spec.P)
+	if err != nil {
+		res.Error = err.Error()
+		return res, err
 	}
 
 	var observer *obs.Observer
@@ -335,9 +276,9 @@ func RunNative(spec Spec) (res Result, err error) {
 		Adversary: adversaryOrNil(spec.plan()),
 		Observer:  observer,
 	})
-	seedFn(rt.Memory())
+	s.Seed(rt.Memory())
 	t0 := time.Now()
-	met, err := rt.Run(prog)
+	met, err := rt.Run(s.Program())
 	res.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	defer func() {
 		// Postmortem: a run that failed to sort or certify dumps its
@@ -365,9 +306,9 @@ func RunNative(spec Spec) (res Result, err error) {
 	res.Respawns = met.Respawns
 	res.Stalls = met.InjectedStalls
 	res.Survivors = spec.P - met.Killed + met.Respawns
-	res.Sized, res.Placed = progress(rt.Memory())
+	res.Sized, res.Placed = s.Progress(rt.Memory())
 
-	out, perr := outputOf(spec.Keys, places(rt.Memory()))
+	out, perr := outputOf(spec.Keys, s.Places(rt.Memory()))
 	res.Sorted = perr == nil && equalInts(out, SortedRef(spec.Keys))
 	if perr != nil {
 		res.Error = perr.Error()
@@ -385,12 +326,13 @@ func RunNative(spec Spec) (res Result, err error) {
 }
 
 // PipelinedSpec scales the pipelined chaos battery: Jobs sorts of N
-// keys stream through one phase-pipelined crew of P workers with queue
-// depth Depth, and every even-numbered job is struck by a seeded crash
-// quorum killing roughly Frac of the workers (pid 0 spared, no
-// revival).
+// keys, laid out for Layout, stream through one phase-pipelined crew of
+// P workers with queue depth Depth, and every even-numbered job is
+// struck by a seeded crash quorum killing roughly Frac of the workers
+// (pid 0 spared, no revival).
 type PipelinedSpec struct {
 	N, P, Depth, Jobs int
+	Layout            layout.Layout
 	Seed              uint64
 	Frac              float64
 }
@@ -417,15 +359,17 @@ func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 
 	type flight struct {
 		run  *native.PipeRun
-		s    *core.Sorter
+		s    layout.Runner
 		mem  []model.Word
 		keys []int
 	}
 	flights := make([]flight, 0, spec.Jobs)
 	for j := 0; j < spec.Jobs; j++ {
 		keys := randKeys(spec.N, spec.Seed+uint64(j)*0x9e37)
-		a := &model.Arena{}
-		s := core.NewSorter(a, spec.N, core.AllocRandomized)
+		s, a, err := layout.New(spec.Layout, layout.Randomized, spec.N, spec.P)
+		if err != nil {
+			return nil, err
+		}
 		mem := make([]model.Word, a.Size())
 		s.Seed(mem)
 		job := native.PipeJob{
@@ -444,7 +388,7 @@ func RunPipelined(spec PipelinedSpec) ([]Result, error) {
 	results := make([]Result, 0, spec.Jobs)
 	for j, f := range flights {
 		res := Result{
-			Policy: "pipelined-crash-half", Variant: "randomized", Layout: "dense",
+			Policy: "pipelined-crash-half", Variant: "randomized", Layout: spec.Layout.String(),
 			N: spec.N, P: spec.P, Seed: spec.Seed + uint64(j),
 		}
 		met, werr := f.run.Wait()
@@ -495,16 +439,13 @@ func adversaryOrNil(pl *native.Plan) model.Adversary {
 // sorted output.
 func RunPram(spec Spec) ([]int, *model.Metrics, error) {
 	n := len(spec.Keys)
-	var a model.Arena
-	var prog model.Program
-	var places func([]model.Word) []int
-	var seedFn func([]model.Word)
+	v := layout.Randomized
 	if spec.LowCont {
-		s := lowcont.New(&a, n, spec.P)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
-	} else {
-		s := core.NewSorter(&a, n, core.AllocRandomized)
-		prog, seedFn, places = s.Program(), s.Seed, s.Places
+		v = layout.LowContention
+	}
+	s, a, err := layout.New(layout.Flat, v, n, spec.P)
+	if err != nil {
+		return nil, nil, err
 	}
 	var sched pram.Scheduler
 	if len(spec.Crashes) > 0 {
@@ -514,12 +455,12 @@ func RunPram(spec Spec) ([]int, *model.Metrics, error) {
 		P: spec.P, Mem: a.Size(), Seed: spec.Seed,
 		Sched: sched, Less: lessFor(spec.Keys),
 	})
-	seedFn(m.Memory())
-	met, err := m.Run(prog)
+	s.Seed(m.Memory())
+	met, err := m.Run(s.Program())
 	if err != nil {
 		return nil, met, err
 	}
-	out, perr := outputOf(spec.Keys, places(m.Memory()))
+	out, perr := outputOf(spec.Keys, s.Places(m.Memory()))
 	if perr != nil {
 		return nil, met, perr
 	}
@@ -541,7 +482,7 @@ func Differential(keys []int, p int, seed uint64, crashes []model.Crash) error {
 	if !equalInts(simOut, ref) {
 		return fmt.Errorf("pram output differs from the stable-sorted reference")
 	}
-	for _, l := range Layouts() {
+	for _, l := range layout.All() {
 		spec.Layout = l
 		res, err := RunNative(spec)
 		if err != nil {
@@ -585,7 +526,7 @@ func Policies() []Policy {
 // BuildSpec instantiates a policy for one (keys, P, layout, seed) cell.
 // The crash window is the input size in per-processor ops (native) or
 // machine steps (pram) — early enough that kills land mid-run.
-func BuildSpec(keys []int, p int, l Layout, seed uint64, pol Policy) Spec {
+func BuildSpec(keys []int, p int, l layout.Layout, seed uint64, pol Policy) Spec {
 	window := int64(len(keys))
 	spec := Spec{Keys: keys, P: p, Layout: l, Seed: seed, Revives: pol.Revives}
 	switch {
@@ -650,7 +591,7 @@ func Sweep(o SweepOptions) (*Report, error) {
 	keys := randKeys(o.N, o.Seed)
 	for _, pol := range Policies() {
 		for _, p := range o.Ps {
-			for _, l := range Layouts() {
+			for _, l := range layout.All() {
 				spec := BuildSpec(keys, p, l, o.Seed, pol)
 				if rep.TracePath == "" {
 					// Until a failure is captured, observe every run so
@@ -682,26 +623,28 @@ func Sweep(o SweepOptions) (*Report, error) {
 			rep.Differential = append(rep.Differential, label+": identical output on pram and all native layouts")
 		}
 	}
-	// Phase-pipelined battery per P: crash-half striking alternate jobs
-	// of an overlapped stream on one resident crew.
+	// Phase-pipelined battery per P and layout: crash-half striking
+	// alternate jobs of an overlapped stream on one resident crew.
 	jobs := 4
 	if o.Quick {
 		jobs = 3
 	}
 	for _, p := range o.Ps {
-		prs, err := RunPipelined(PipelinedSpec{
-			N: o.N, P: p, Depth: 2, Jobs: jobs,
-			Seed: o.Seed + uint64(p)*101, Frac: 0.5,
-		})
-		if err != nil {
-			return rep, fmt.Errorf("pipelined p=%d: %w", p, err)
-		}
-		for j, res := range prs {
-			rep.Runs = append(rep.Runs, res)
-			if !res.OK() {
-				rep.Failures = append(rep.Failures, fmt.Sprintf(
-					"pipelined p=%d job=%d: sorted=%v certified=%v (max ops %d / bound %d) %s",
-					p, j, res.Sorted, res.Certified, res.MaxOps, res.Bound, res.Error))
+		for _, l := range layout.All() {
+			prs, err := RunPipelined(PipelinedSpec{
+				N: o.N, P: p, Depth: 2, Jobs: jobs, Layout: l,
+				Seed: o.Seed + uint64(p)*101, Frac: 0.5,
+			})
+			if err != nil {
+				return rep, fmt.Errorf("pipelined p=%d layout=%v: %w", p, l, err)
+			}
+			for j, res := range prs {
+				rep.Runs = append(rep.Runs, res)
+				if !res.OK() {
+					rep.Failures = append(rep.Failures, fmt.Sprintf(
+						"pipelined p=%d layout=%v job=%d: sorted=%v certified=%v (max ops %d / bound %d) %s",
+						p, l, j, res.Sorted, res.Certified, res.MaxOps, res.Bound, res.Error))
+				}
 			}
 		}
 	}

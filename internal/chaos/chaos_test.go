@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"wfsort/internal/layout"
 	"wfsort/internal/model"
 )
 
@@ -36,7 +37,7 @@ func TestDifferentialFaultless(t *testing.T) {
 // the lone mandated survivor must still finish under the op ceiling.
 func TestMassacreCertifies(t *testing.T) {
 	keys := randKeys(1024, 3)
-	for _, l := range Layouts() {
+	for _, l := range layout.All() {
 		spec := Spec{Keys: keys, P: 4, Layout: l, Seed: 9, Crashes: Massacre(4, 256)}
 		res, err := RunNative(spec)
 		if err != nil {
@@ -90,7 +91,7 @@ func TestRunPipelinedCrashHalf(t *testing.T) {
 // adversaries end to end via BuildSpec.
 func TestReviveAndStallPolicies(t *testing.T) {
 	keys := randKeys(1024, 11)
-	revive := BuildSpec(keys, 4, LayoutPadded, 5, Policy{Name: "crash-revive", Frac: 0.5, Revives: 1})
+	revive := BuildSpec(keys, 4, layout.Padded, 5, Policy{Name: "crash-revive", Frac: 0.5, Revives: 1})
 	res, err := RunNative(revive)
 	if err != nil {
 		t.Fatalf("crash-revive: %v", err)
@@ -102,7 +103,7 @@ func TestReviveAndStallPolicies(t *testing.T) {
 		t.Errorf("crash-revive: %d kills landed but no respawns", res.Killed)
 	}
 
-	storm := BuildSpec(keys, 4, LayoutFlat, 5, Policy{Name: "stall-storm", StallStorm: true})
+	storm := BuildSpec(keys, 4, layout.Flat, 5, Policy{Name: "stall-storm", StallStorm: true})
 	res, err = RunNative(storm)
 	if err != nil {
 		t.Fatalf("stall-storm: %v", err)
@@ -206,8 +207,9 @@ func TestSweepQuick(t *testing.T) {
 	if !rep.OK {
 		t.Fatalf("sweep failures:\n%s", strings.Join(rep.Failures, "\n"))
 	}
-	// policy x P x layout cells, plus the pipelined battery's 4 jobs per P.
-	wantRuns := len(Policies())*2*len(Layouts()) + 2*4
+	// policy x P x layout cells, plus the pipelined battery's 4 jobs per
+	// P and layout.
+	wantRuns := (len(Policies()) + 4) * 2 * len(layout.All())
 	if len(rep.Runs) != wantRuns {
 		t.Errorf("sweep produced %d runs, want %d", len(rep.Runs), wantRuns)
 	}

@@ -36,6 +36,9 @@
 // operations per node); the low-contention phase 3 of §3.3 uses
 // bottom-up DONE marks in exactly this way, so this is the paper's own
 // repair applied to the deterministic variant.
+//
+// The package also holds Kernel (kernel.go), the block-leaf sort the
+// native runtime's default layout runs in place of the pivot tree.
 package core
 
 import (
@@ -55,43 +58,6 @@ const (
 	Big   = 0
 	Small = 1
 )
-
-// Tuning configures the native fast path. The zero value is the
-// paper-faithful configuration the simulator runs: per-element work
-// claims, the Fig. 4 key-accounting read, no counters, and the phase-4
-// shuffle — byte-identical operation sequences to the seed
-// implementation, which is what every golden-metric test pins down.
-//
-// Non-zero tunings trade simulator-faithful accounting for hardware
-// throughput; they preserve every correctness property (wait-freedom,
-// crash tolerance, stability of the derived ranks) but not the paper's
-// operation counts, so they are only ever used by the real-goroutine
-// runtime in internal/native.
-type Tuning struct {
-	// Batch is the number of elements claimed per work-assignment-tree
-	// leaf (0 or 1 = one element per leaf). Larger batches amortize the
-	// Θ(log N) next_element traffic — and the root/top-level cache-line
-	// traffic it causes — over Batch elements.
-	Batch int
-	// SkipKeyRead omits the Fig. 4 line 8 key read. The cell only
-	// exists so simulated operation counts and contention match the
-	// paper's accounting (keys never enter shared memory); on hardware
-	// it is one wasted atomic load per descent level.
-	SkipKeyRead bool
-	// Shards > 0 enables sharded counters with that many slots: the
-	// randomized allocation's miss counter and the phase-2/3 completion
-	// counters, each aggregated on read.
-	Shards int
-	// HostShuffle skips phase 4 (the output shuffle). The native driver
-	// already scatters elements from the rank table host-side, so the
-	// shared-memory write-all pass is redundant work there.
-	HostShuffle bool
-}
-
-// enabled reports whether any fast-path deviation is active.
-func (t Tuning) enabled() bool {
-	return t.Batch > 1 || t.SkipKeyRead || t.Shards > 0 || t.HostShuffle
-}
 
 // Alloc selects the phase-1 work-allocation strategy.
 type Alloc int
@@ -116,15 +82,6 @@ const (
 type Sorter struct {
 	n     int
 	alloc Alloc
-	tun   Tuning
-
-	// missCtr aggregates randomized-allocation misses across workers;
-	// sumCtr and placeCtr count distinct phase-2 size installs and
-	// phase-3 place installs (see Tuning.Shards). All are zero-valued
-	// (free) unless the sorter was built with NewSorterTuned.
-	missCtr  ShardedCounter
-	sumCtr   ShardedCounter
-	placeCtr ShardedCounter
 
 	// key.At(i) stands in for element i's key field: build_tree reads
 	// it (one shared-memory operation, as in Fig. 4 line 8) before
@@ -170,33 +127,6 @@ func NewSorterNamed(a model.Allocator, n int, alloc Alloc, prefix string) *Sorte
 	s.shuffle = wat.NewNamed(a, prefix+"wat.shuffle", n)
 	if n > 1 {
 		s.build = wat.NewNamed(a, prefix+"wat.build", n-1)
-	}
-	s.buildGraph()
-	return s
-}
-
-// NewSorterTuned reserves a sorter configured for the native fast path.
-// A zero Tuning reproduces NewSorter exactly; see Tuning for what each
-// knob trades away. The work-assignment trees cover ceil(jobs/Batch)
-// leaves, so with Batch > 1 workers claim blocks of elements and touch
-// the trees' contended top levels Batch times less often.
-func NewSorterTuned(a model.Allocator, n int, alloc Alloc, tun Tuning) *Sorter {
-	if tun.Batch < 1 {
-		tun.Batch = 1
-	}
-	s := NewTableNamed(a, n, "")
-	s.alloc = alloc
-	s.tun = tun
-	if !tun.HostShuffle {
-		s.shuffle = wat.NewNamed(a, "wat.shuffle", ceilDiv(n, tun.Batch))
-	}
-	if n > 1 {
-		s.build = wat.NewNamed(a, "wat.build", ceilDiv(n-1, tun.Batch))
-	}
-	if tun.Shards > 0 {
-		s.missCtr = NewShardedCounter(a, "miss", tun.Shards)
-		s.sumCtr = NewShardedCounter(a, "sum", tun.Shards)
-		s.placeCtr = NewShardedCounter(a, "place", tun.Shards)
 	}
 	s.buildGraph()
 	return s
@@ -271,8 +201,7 @@ func (s *Sorter) Graph() *engine.Graph { return s.graph }
 // sequence, labels and bodies reproduce the seed's inline orchestration
 // operation-for-operation (the simulator goldens pin this down); the
 // graph additionally carries host-side completion predicates for the
-// certifier and, under Tuning.HostShuffle, the scatter epilogue that
-// replaces the shared-memory write-all pass.
+// certifier.
 func (s *Sorter) buildGraph() {
 	g := engine.New("core")
 	if s.n > 1 {
@@ -292,16 +221,7 @@ func (s *Sorter) buildGraph() {
 		})
 		g.Add(engine.Phase{
 			Name: "3:place",
-			Body: func(p model.Proc, _ any) {
-				var st *descentState
-				if s.placeCtr.Enabled() {
-					st = &descentState{}
-				}
-				s.findPlace(p, 1, 0, 0, st)
-			},
-			// The root's placeDone mark can legitimately be skipped under
-			// the tuned early exit, so completion is judged on the ranks
-			// themselves.
+			Body: func(p model.Proc, _ any) { s.findPlace(p, 1, 0, 0) },
 			Done: func(mem []Word) bool { _, placed := s.Progress(mem); return placed == s.n },
 		})
 	} else {
@@ -316,60 +236,25 @@ func (s *Sorter) buildGraph() {
 			Done: func(mem []Word) bool { _, placed := s.Progress(mem); return placed == s.n },
 		})
 	}
-	if s.tun.HostShuffle {
-		// Host-only phase: the native driver scatters from the rank table
-		// itself; by the time any worker returns from phase 3 every place
-		// word is final (places are installed before the bottom-up
-		// placeDone marks that gate pruning), so the workers have nothing
-		// left to publish and the engine skips the phase entirely. Drivers
-		// that nevertheless want the out region materialized (Output) run
-		// the epilogue via Graph.Epilogues.
-		g.Add(engine.Phase{
-			Name:     "4:shuffle",
-			Epilogue: s.scatterHost,
-		})
-	} else {
-		g.Add(engine.Phase{
-			Name: "4:shuffle",
-			Body: func(p model.Proc, _ any) {
-				batch := s.batch()
-				s.shuffle.Run(p, func(j int) {
-					lo := j*batch + 1
-					hi := min(lo+batch-1, s.n)
-					for elem := lo; elem <= hi; elem++ {
-						r := p.Read(s.place.At(elem))
-						p.Write(s.out.At(int(r)-1), Word(elem))
-					}
-				})
-			},
-			Done: func(mem []Word) bool {
-				for r := 0; r < s.n; r++ {
-					if mem[s.out.At(r)] == model.Empty {
-						return false
-					}
+	g.Add(engine.Phase{
+		Name: "4:shuffle",
+		Body: func(p model.Proc, _ any) {
+			s.shuffle.Run(p, func(j int) {
+				elem := j + 1
+				r := p.Read(s.place.At(elem))
+				p.Write(s.out.At(int(r)-1), Word(elem))
+			})
+		},
+		Done: func(mem []Word) bool {
+			for r := 0; r < s.n; r++ {
+				if mem[s.out.At(r)] == model.Empty {
+					return false
 				}
-				return true
-			},
-		})
-	}
+			}
+			return true
+		},
+	})
 	s.graph = g
-}
-
-// scatterHost fills the out region from the rank table host-side — the
-// same permutation the shared-memory shuffle publishes, computed on
-// quiescent memory without the write-all pass.
-func (s *Sorter) scatterHost(mem []Word) {
-	for i := 1; i <= s.n; i++ {
-		mem[s.out.At(int(mem[s.place.At(i)])-1)] = Word(i)
-	}
-}
-
-// batch returns the work-claim granularity (>= 1).
-func (s *Sorter) batch() int {
-	if s.tun.Batch < 1 {
-		return 1
-	}
-	return s.tun.Batch
 }
 
 // BuildPhase runs only phase 1 (tree construction) under the sorter's
@@ -424,73 +309,23 @@ func (s *Sorter) TreeIsSortedBSTFrom(mem []Word, root int, less func(i, j int) b
 	return true
 }
 
-// buildSpan returns the element range [lo, hi] covered by build job j
-// (elements 2..n are inserted; element 1 is the root and needs no
-// insertion). With Batch == 1 job j covers exactly element j+2, the
-// seed mapping.
-func (s *Sorter) buildSpan(j int) (lo, hi int) {
-	b := s.batch()
-	lo = j*b + 2
-	hi = min(lo+b-1, s.n)
-	return lo, hi
-}
-
-// buildJob inserts every element of build job j in ascending order.
-func (s *Sorter) buildJob(p model.Proc, j int) {
-	lo, hi := s.buildSpan(j)
-	for e := lo; e <= hi; e++ {
-		s.BuildTree(p, e)
-	}
-}
-
-// buildJobShuffled inserts build job j's elements in a random order
-// drawn from the worker's private stream. With Batch > 1 a job may span
-// a run of consecutive input positions; inserting the run in input
-// order would grow pivot-tree chains of up to Batch nodes on sorted
-// inputs, so the within-block order is shuffled to keep the randomized
-// allocation's O(log N)-depth argument intact. scratch is worker-local
-// scrap reused across jobs.
-func (s *Sorter) buildJobShuffled(p model.Proc, j int, rng *model.Rng, scratch []int) []int {
-	lo, hi := s.buildSpan(j)
-	if lo == hi {
-		s.BuildTree(p, lo)
-		return scratch
-	}
-	scratch = scratch[:0]
-	for e := lo; e <= hi; e++ {
-		scratch = append(scratch, e)
-	}
-	for i := len(scratch) - 1; i > 0; i-- {
-		k := rng.Intn(i + 1)
-		scratch[i], scratch[k] = scratch[k], scratch[i]
-	}
-	for _, e := range scratch {
-		s.BuildTree(p, e)
-	}
-	return scratch
-}
-
 // buildPhaseWAT is phase 1 under deterministic WAT allocation (Fig. 2
-// with build_tree as func).
+// with build_tree as func). Build job j inserts element j+2: element 1
+// is the root and needs no insertion.
 func (s *Sorter) buildPhaseWAT(p model.Proc) {
 	s.build.Run(p, func(j int) {
-		s.buildJob(p, j)
+		s.BuildTree(p, j+2)
 	})
 }
 
 // buildPhaseRandomized is phase 1 under the randomized allocation of
 // §2.3: pick uniform random jobs and insert them, marking progress
 // up the WAT, until log N consecutive picks were already done; then
-// switch to next_element. When the sharded miss counter is enabled
-// (native fast path), workers also aggregate their misses and bail out
-// to the deterministic completion sweep once the whole fleet's miss
-// count shows the tree is saturated — the sweep is the correctness
-// backstop either way, so any early-exit policy is safe.
+// switch to next_element.
 func (s *Sorter) buildPhaseRandomized(p model.Proc) {
 	jobs := s.build.Jobs()
 	logN := bits.Len(uint(jobs)) + 1
 	rng := p.Rand()
-	var scratch []int
 	misses := 0
 	last := s.build.LeafNode(rng.Intn(jobs))
 	for misses < logN {
@@ -499,23 +334,17 @@ func (s *Sorter) buildPhaseRandomized(p model.Proc) {
 		last = leaf
 		if p.Read(leafAddr(s.build, leaf)) == model.Done {
 			misses++
-			if s.missCtr.Enabled() {
-				s.missCtr.Add(p, 1)
-				if misses&3 == 0 && s.missCtr.Sum(p) >= Word(4*logN) {
-					break
-				}
-			}
 			continue
 		}
 		misses = 0
-		scratch = s.buildJobShuffled(p, j, rng, scratch)
+		s.BuildTree(p, j+2)
 		s.markClimb(p, leaf)
 	}
 	// Deterministic completion from the last (done) leaf.
 	i := last
 	for i != wat.NoWork {
 		if j := s.build.JobOf(i); j >= 0 {
-			s.buildJob(p, j)
+			s.BuildTree(p, j+2)
 		}
 		i = s.build.NextElement(p, i)
 	}
@@ -561,13 +390,10 @@ func (s *Sorter) BuildTree(p model.Proc, i int) {
 // experiment E18 measures as the native contention signal.
 func (s *Sorter) BuildTreeFrom(p model.Proc, i, parent int) {
 	for {
-		if !s.tun.SkipKeyRead {
-			// Fig. 4 line 8: read the parent's key, then compare. The
-			// cell exists purely so simulated op counts and contention
-			// match the paper's accounting; the native fast path skips
-			// the load (see Tuning.SkipKeyRead).
-			p.Read(s.key.At(parent))
-		}
+		// Fig. 4 line 8: read the parent's key, then compare. The cell
+		// exists purely so simulated op counts and contention match the
+		// paper's accounting.
+		p.Read(s.key.At(parent))
 		side := Big
 		if p.Less(i, parent) {
 			side = Small
@@ -599,7 +425,7 @@ func (s *Sorter) TreeSumFrom(p model.Proc, root int) Word {
 // FindPlaceFrom runs phase 3 from an arbitrary root element whose
 // subtree spans ranks sub+1..sub+size.
 func (s *Sorter) FindPlaceFrom(p model.Proc, root int, sub Word) {
-	s.findPlace(p, root, sub, 0, nil)
+	s.findPlace(p, root, sub, 0)
 }
 
 // treeSum is tree_sum of Figure 5: return the size of the subtree
@@ -619,80 +445,30 @@ func (s *Sorter) treeSum(p model.Proc, i, d int) Word {
 	}
 	sum := s.treeSum(p, int(p.Read(s.child[first].At(i))), d+1)
 	sum += s.treeSum(p, int(p.Read(s.child[second].At(i))), d+1)
-	if s.sumCtr.Enabled() {
-		// Native fast path: install via CAS so exactly one worker counts
-		// each node, and accumulate the install into this worker's shard.
-		// The aggregate — readable by summing the shards — is the number
-		// of distinct subtree sizes known so far; phase 3 uses its sister
-		// counter to short-circuit, and tests read it host-side to check
-		// that tree_sum accounted for every node exactly once. A lost
-		// race rewrites nothing (the CAS fails on the identical value
-		// already installed).
-		if p.CAS(s.size.At(i), model.Empty, sum+1) {
-			s.sumCtr.Add(p, 1)
-		}
-	} else {
-		p.Write(s.size.At(i), sum+1)
-	}
+	p.Write(s.size.At(i), sum+1)
 	return sum + 1
-}
-
-// descentState carries a worker's phase-3 early-exit bookkeeping: a
-// visit budget between polls of the sharded place counter, and the
-// latched "phase globally complete" verdict.
-type descentState struct {
-	visits int
-	done   bool
 }
 
 // findPlace is find_place of Figure 6 with the bottom-up placeDone
 // completion marker (see the package comment). sub is the number of
 // elements smaller than i's entire subtree.
-//
-// st is nil outside the native fast path. When set, the worker installs
-// places by CAS and counts distinct installs in a sharded counter;
-// every 64 visits it aggregates the counter, and once all n places are
-// installed it abandons the rest of its traversal. Pruning on placeDone
-// alone cannot do this: the bottom-up marks appear long after the place
-// values they summarize, so late workers redundantly re-walk subtrees
-// whose output is already complete.
-func (s *Sorter) findPlace(p model.Proc, i int, sub Word, d int, st *descentState) {
-	if i == 0 || (st != nil && st.done) {
+func (s *Sorter) findPlace(p model.Proc, i int, sub Word, d int) {
+	if i == 0 {
 		return
 	}
 	if p.Read(s.placeDone.At(i)) != model.Empty {
 		return
 	}
-	if st != nil {
-		st.visits++
-		if st.visits&63 == 0 && s.placeCtr.Sum(p) >= Word(s.n) {
-			st.done = true
-			return
-		}
-	}
 	small := int(p.Read(s.child[Small].At(i)))
 	big := int(p.Read(s.child[Big].At(i)))
 	sm := model.SmallSubtreeSize(p, Word(small), s.size.At)
-	if st != nil {
-		if p.CAS(s.place.At(i), model.Empty, sm+sub+1) {
-			s.placeCtr.Add(p, 1)
-		}
-	} else {
-		p.Write(s.place.At(i), sm+sub+1)
-	}
+	p.Write(s.place.At(i), sm+sub+1)
 	if pidBit(p.ID(), d) == Small {
-		s.findPlace(p, small, sub, d+1, st)
-		s.findPlace(p, big, sub+sm+1, d+1, st)
+		s.findPlace(p, small, sub, d+1)
+		s.findPlace(p, big, sub+sm+1, d+1)
 	} else {
-		s.findPlace(p, big, sub+sm+1, d+1, st)
-		s.findPlace(p, small, sub, d+1, st)
-	}
-	if st != nil && st.done {
-		// Every place word is installed (that is what done means), so
-		// the bottom-up marks only exist to prune other workers — who
-		// short-circuit through their own counter polls anyway. Skip
-		// the write and unwind.
-		return
+		s.findPlace(p, big, sub+sm+1, d+1)
+		s.findPlace(p, small, sub, d+1)
 	}
 	p.Write(s.placeDone.At(i), model.Done)
 }
@@ -845,16 +621,3 @@ func leafAddr(w *wat.WAT, node int) int { return w.NodeAddr(node) }
 
 // ceilDiv returns ceil(a/b) for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// CounterTotals reports the sharded counters' host-side aggregates
-// after a run: randomized-allocation misses, distinct phase-2 size
-// installs and distinct phase-3 place installs. All zero unless the
-// sorter was built with Tuning.Shards > 0. After a completed tuned run
-// the install counters must both equal N — the invariant the fast-path
-// tests pin down.
-func (s *Sorter) CounterTotals(mem []Word) (miss, sum, place Word) {
-	return s.missCtr.HostSum(mem), s.sumCtr.HostSum(mem), s.placeCtr.HostSum(mem)
-}
-
-// Tuning returns the sorter's fast-path configuration.
-func (s *Sorter) Tuning() Tuning { return s.tun }

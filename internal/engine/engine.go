@@ -21,8 +21,7 @@
 //     inline loops — the simulator goldens pin this down);
 //   - host-side introspection: each phase can carry a completion
 //     predicate over the arena (what "this phase's global work is
-//     done" means in memory) and a host-side epilogue (work a driver
-//     runs after the workers, like HostShuffle's scatter);
+//     done" means in memory);
 //   - phase-level pipelining: a runtime that wants to overlap queued
 //     jobs can run a graph with a completion notification per phase
 //     (RunNotify) and admit the next job as soon as every worker has
@@ -54,8 +53,8 @@ type Phase struct {
 	// processor has proof someone else will complete it), never relying
 	// on other processors making progress — that is the wait-freedom
 	// contract every phase in this repository honors. A nil Body marks
-	// a host-only phase (see Epilogue): the engine skips it entirely on
-	// workers.
+	// a host-only phase, one that carries only a completion predicate:
+	// the engine skips it entirely on workers.
 	Body Body
 	// Done, when non-nil, is the host-side completion predicate: it
 	// inspects a run's memory and reports whether this phase's global
@@ -63,12 +62,6 @@ type Phase struct {
 	// and tests call it after runs; the phases gate themselves — and
 	// must only be used on quiescent memory (plain reads).
 	Done func(mem []model.Word) bool
-	// Epilogue, when non-nil, is host-side work that replaces or
-	// augments the phase after all workers are done — e.g. the
-	// HostShuffle scatter, which materializes the output array from the
-	// rank table without the shared-memory write-all pass. Drivers opt
-	// in via Graph.Epilogues; the workers never run it.
-	Epilogue func(mem []model.Word)
 	// Quiet suppresses the engine's Proc.Phase(Name) label, for phases
 	// whose bodies emit their own finer-grained labels — the
 	// low-contention sort's inner phase runs a whole subgraph through a
@@ -168,17 +161,6 @@ func (g *Graph) RunNotify(p model.Proc, notify func(k int)) {
 // Program adapts the graph to the runtimes' entry-point type.
 func (g *Graph) Program() model.Program {
 	return func(p model.Proc) { g.Run(p) }
-}
-
-// Epilogues runs every phase's host-side epilogue, in phase order, on a
-// quiescent run's memory. Drivers that skip shared-memory phases
-// (HostShuffle) call this to materialize their results host-side.
-func (g *Graph) Epilogues(mem []model.Word) {
-	for i := range g.phases {
-		if ep := g.phases[i].Epilogue; ep != nil {
-			ep(mem)
-		}
-	}
 }
 
 // Done reports whether every phase with a completion predicate is

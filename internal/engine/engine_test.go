@@ -47,7 +47,7 @@ func TestRunOrderAndLabels(t *testing.T) {
 	var order []string
 	g := engine.New("t").
 		Add(engine.Phase{Name: "a", Body: func(p model.Proc, _ any) { order = append(order, "a") }}).
-		Add(engine.Phase{Name: "host", Epilogue: func(mem []model.Word) { mem[0] = 42 }}).
+		Add(engine.Phase{Name: "host", Done: func(mem []model.Word) bool { return true }}).
 		Add(engine.Phase{Name: "b", Quiet: true, Body: func(p model.Proc, _ any) { order = append(order, "b") }}).
 		Add(engine.Phase{Name: "c", Body: func(p model.Proc, _ any) { order = append(order, "c") }})
 
@@ -62,13 +62,6 @@ func TestRunOrderAndLabels(t *testing.T) {
 	// Quiet phase b and host phase emit no label.
 	if want := []string{"a", "c"}; !equal(f.phases, want) {
 		t.Fatalf("labels %v, want %v", f.phases, want)
-	}
-	if f.mem[0] != 0 {
-		t.Fatal("epilogue ran during Run; it is host-side only")
-	}
-	g.Epilogues(f.mem)
-	if f.mem[0] != 42 {
-		t.Fatal("Epilogues did not run the host phase")
 	}
 }
 

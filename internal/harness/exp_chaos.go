@@ -4,10 +4,12 @@ import (
 	"fmt"
 
 	"wfsort/internal/chaos"
+	"wfsort/internal/layout"
 )
 
 // E20Chaos is the native fault-injection sweep: every adversary policy
-// against every arena layout on the real-goroutine runtime, certifying
+// against every arena layout on the real-goroutine runtime (the sharded
+// leg runs the block-leaf kernel, the others the pivot tree), certifying
 // each run against the wait-freedom op ceiling, plus a cross-runtime
 // differential (the same seeded crash schedule on the simulator and on
 // every native layout must yield identical sorted output).
@@ -27,7 +29,7 @@ func E20Chaos(o Options) (*Table, error) {
 
 	keys := MakeKeys(InputRandom, n, o.Seed)
 	for _, pol := range chaos.Policies() {
-		for _, l := range chaos.Layouts() {
+		for _, l := range layout.All() {
 			res, err := chaos.RunNative(chaos.BuildSpec(keys, p, l, o.Seed, pol))
 			if err != nil {
 				return nil, fmt.Errorf("policy %s layout %v: %w", pol.Name, l, err)

@@ -90,7 +90,7 @@ type Sorter struct {
 	// batch is the number of elements claimed per glue/shuffle job
 	// (>= 1). 1 is the paper-faithful one-element-per-job granularity the
 	// simulator runs; larger batches amortize the LC-WAT probe traffic on
-	// the native fast path, mirroring core's Tuning.Batch.
+	// the native sharded layout (see layout.New).
 	batch int
 
 	fillRounds    int
@@ -113,8 +113,7 @@ func New(a model.Allocator, n, p int) *Sorter {
 // NewTuned is New with a batched work-claim granularity: the glue and
 // shuffle LC-WATs cover ceil(n/batch) jobs of batch consecutive
 // elements each, so workers touch the trees' contended nodes batch
-// times less often — the same trade core.Tuning.Batch makes for the
-// deterministic WATs. batch <= 1 reproduces New exactly (one element
+// times less often. batch <= 1 reproduces New exactly (one element
 // per job, the paper-faithful accounting the simulator goldens pin
 // down); larger batches are only ever used by the native fast path.
 func NewTuned(a model.Allocator, n, p, batch int) *Sorter {

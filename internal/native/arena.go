@@ -17,11 +17,10 @@ const (
 	// seed behavior, kept as the benchmark-gate baseline.
 	Flat Layout = iota
 	// Padded aligns every named structure to a cache-line boundary and
-	// gives contention hot spots (work-assignment-tree tops, tree roots,
-	// counter shards) a padded prefix so each hot word owns its line.
-	// False sharing between a WAT root and its neighbours — or between
-	// two counter shards — disappears; dense bulk arrays stay dense so
-	// the cache footprint grows by only O(hot words).
+	// gives contention hot spots (work-assignment-tree tops, tree roots)
+	// a padded prefix so each hot word owns its line. False sharing
+	// between a WAT root and its neighbours disappears; dense bulk arrays
+	// stay dense so the cache footprint grows by only O(hot words).
 	Padded
 )
 
@@ -41,8 +40,6 @@ func (l Layout) String() string {
 // their own cache line under the Padded layout. The rules are driven by
 // the region-naming conventions already used for contention profiling:
 //
-//   - "ctr." regions are sharded counters: every shard is written by a
-//     different worker, so every slot is padded.
 //   - work-assignment trees ("wat.", "lcwat", "glue", "shuffle") and the
 //     winner-selection tree are 1-indexed heaps whose top levels carry
 //     the Θ(P) root traffic the paper's §3 is about; the top 64 nodes
@@ -54,8 +51,6 @@ func (l Layout) String() string {
 func hotPrefix(name string, n int) int {
 	hot := 0
 	switch {
-	case strings.Contains(name, "ctr."):
-		hot = n
 	case strings.Contains(name, "wat"),
 		strings.HasSuffix(name, "glue"),
 		strings.HasSuffix(name, "shuffle"),

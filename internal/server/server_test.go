@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -37,6 +38,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// postSort posts keys to /sort and decodes the reply. It reads the
+// reply to EOF — past the end of the JSON value — because its last
+// chunk leaves only when the handler returns, after the request's span
+// and stage timings are recorded; tests that read /trace, /requests or
+// /metrics next must not race that.
 func postSort(t *testing.T, url string, keys []int64) (*http.Response, sortResponse) {
 	t.Helper()
 	body, _ := json.Marshal(sortRequest{Keys: keys})
@@ -50,6 +56,9 @@ func postSort(t *testing.T, url string, keys []int64) (*http.Response, sortRespo
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
 	}
 	return resp, out
 }

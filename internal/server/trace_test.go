@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -16,7 +17,10 @@ import (
 )
 
 // postSortTraced posts keys with an X-Trace-Id (and optional class)
-// and returns the response plus the echoed trace ID.
+// and returns the response plus the echoed trace ID. The reply is read
+// to EOF: its last chunk leaves only when the handler returns, after
+// the request's span is finished, so /trace, /requests and /metrics
+// read afterwards see this request.
 func postSortTraced(t *testing.T, url, traceID, class string, keys []int64) (*http.Response, string) {
 	t.Helper()
 	body, _ := json.Marshal(sortRequest{Keys: keys})
@@ -35,7 +39,10 @@ func postSortTraced(t *testing.T, url, traceID, class string, keys []int64) (*ht
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
 	return resp, resp.Header.Get("X-Trace-Id")
 }
 

@@ -91,11 +91,11 @@ func CheckLimit(n, limit int) (ok bool, msg string) {
 	return false, fmt.Sprintf("n=%d exceeds the %d-key limit", n, limit)
 }
 
-// Batch picks the work-claim granularity for the contention-sharded
-// fast path: large enough to amortize next_element traffic, small
-// enough that every worker still sees at least a few blocks to claim.
-// Wait-freedom never depends on the choice — a block is just a bigger
-// idempotent job.
+// Batch picks the work-claim granularity of the §3 sort's LC-WAT jobs
+// on the native sharded layout: large enough to amortize the trees'
+// probe traffic, small enough that every worker still sees at least a
+// few blocks to claim. Wait-freedom never depends on the choice — a
+// block is just a bigger idempotent job.
 func Batch(n, workers int) int {
 	b := n / (4 * workers)
 	if b > 128 {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sync"
 
-	"wfsort/internal/native"
 	"wfsort/internal/sizeclass"
 )
 
@@ -68,20 +67,11 @@ func sortOnceKeyed[T any](data []T, key func(T) uint64, c config, keyBuf []uint6
 		a, b := keys[i-1], keys[j-1]
 		return a < b || (a == b && i < j)
 	}
-	a, tun := nativeArena(n, c)
-	runner, err := newRunner(a, n, c, tun)
+	places, err := runOnce(n, c, idxLess)
 	if err != nil {
 		return err
 	}
-	rt := native.New(native.Config{
-		P: c.workers, Mem: a.Size(), Seed: c.seed, Less: idxLess,
-		Observer: c.observer, Adversary: c.adversary(0),
-	})
-	runner.seed(rt.Memory())
-	if _, err := rt.Run(runner.program()); err != nil {
-		return err
-	}
-	return permuteInPlace(data, runner.places(rt.Memory()))
+	return permuteInPlace(data, places)
 }
 
 // permuteInPlace moves data[i] to position places[i]-1 by walking the

@@ -206,6 +206,55 @@ func TestKeyedSorterCancelLeavesDataUnchanged(t *testing.T) {
 	}
 }
 
+// TestKeyedSorterCancelMidLeaf cancels a lone worker in the middle of
+// a large sort, while it is sorting a leaf block of hundreds of
+// thousands of keys in private scratch. The kernel polls the runtime
+// every few thousand comparisons, so the kill lands inside the block:
+// the canceled call must return within a tenth of an uncanceled sort's
+// wall time, data unchanged.
+func TestKeyedSorterCancelMidLeaf(t *testing.T) {
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 18
+	}
+	s, err := NewKeyedSorter(Int64Key, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := streamKeys(n, 5)
+	data := append([]int64(nil), keys...)
+	start := time.Now()
+	if err := s.Sort(data); err != nil { // also builds the pooled context
+		t.Fatal(err)
+	}
+	full := time.Since(start)
+
+	copy(data, keys)
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled := make(chan time.Time, 1)
+	go func() {
+		time.Sleep(full / 20)
+		canceled <- time.Now()
+		cancel()
+	}()
+	err = s.SortContext(ctx, data)
+	returned := time.Now()
+	if err != context.Canceled {
+		t.Fatalf("got %v, want context.Canceled (uncanceled sort took %v)", err, full)
+	}
+	lag := returned.Sub(<-canceled)
+	if lag > full/10 {
+		t.Errorf("canceled sort returned %v after the cancel; an uncanceled sort takes %v", lag, full)
+	}
+	t.Logf("canceled sort returned %v after the cancel; an uncanceled sort takes %v", lag, full)
+	for i := range data {
+		if data[i] != keys[i] {
+			t.Fatalf("canceled sort mutated element %d", i)
+		}
+	}
+}
+
 func TestPermuteInPlace(t *testing.T) {
 	data := []int{10, 20, 30, 40, 50}
 	places := []int{3, 1, 5, 2, 4} // data[i] -> position places[i]-1

@@ -72,12 +72,8 @@ func NewPool(opts ...Option) (*Pool, error) {
 		PerClassIdle: 4,
 		Shards:       min(c.workers, 4),
 		Build: func(capacity int) (pool.Runner, model.Allocator, error) {
-			a, tun := nativeArena(capacity, c)
-			r, err := newRunner(a, capacity, c, tun)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.asPoolRunner(), a, nil
+			r, a, err := newRunner(capacity, c, c.layout)
+			return r, a, err
 		},
 	})
 	if err != nil {

@@ -233,6 +233,42 @@ func TestStreamSoak(t *testing.T) {
 	}
 }
 
+// TestSortStreamUnderCrashes runs a spilled stream's chunk sorts on a
+// pipelined pool that fail-stops about half the workers of every sort.
+// The output must arrive in order, and the ledgers must agree end to
+// end: the input fold in the stats, every spilled block's own ledger
+// (re-verified as stage 2 reads it back, or SortStream errors), and the
+// fold of what the writer received.
+func TestSortStreamUnderCrashes(t *testing.T) {
+	pool, err := NewPool(WithWorkers(4), WithPipeline(4), WithCrashes(0.5, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const chunk = 1 << 12
+	keys := streamKeys(10*chunk+123, 77)
+	wantSum, wantXor := wire.Fold(keys)
+	var out ledgerWriter
+	st, err := SortStream(context.Background(), &out, &SliceReader{Keys: keys}, StreamConfig{
+		ChunkKeys: chunk, Pool: pool, MergeBufKeys: 300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Spilled || st.Chunks != 11 {
+		t.Fatalf("stats %+v, want 11 spilled chunks", st)
+	}
+	if st.Sum != wantSum || st.Xor != wantXor {
+		t.Fatal(errLedger("stats", 0, st.Sum, st.Xor, wantSum, wantXor))
+	}
+	if out.n != int64(len(keys)) || out.sum != wantSum || out.xor != wantXor {
+		t.Fatal(errLedger("output", 0, out.sum, out.xor, wantSum, wantXor))
+	}
+	if !out.sorted {
+		t.Fatal("output out of order")
+	}
+}
+
 // ledgerWriter folds what it receives and checks frame-to-frame order.
 type ledgerWriter struct {
 	sum, xor int64

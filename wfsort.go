@@ -22,8 +22,12 @@
 //     EXPERIMENTS.md.
 //
 // Both modes share one algorithm implementation; only the Proc runtime
-// differs. Sorting is stable: equal elements keep their input order
-// (the paper's index tie-break).
+// differs. The exception is the default native layout, LayoutSharded,
+// which runs a block-leaf kernel instead of the pivot tree: the same
+// work-assignment trees hand out blocks to sort privately and merge
+// segments to write, so it keeps the paper's wait-freedom while its
+// jobs suit hardware caches (see Layout). Sorting is stable: equal
+// elements keep their input order (the paper's index tie-break).
 package wfsort
 
 import (
@@ -32,14 +36,11 @@ import (
 	"runtime"
 	"sync"
 
-	"wfsort/internal/core"
-	"wfsort/internal/lowcont"
+	"wfsort/internal/layout"
 	"wfsort/internal/model"
 	"wfsort/internal/native"
 	"wfsort/internal/obs"
-	"wfsort/internal/pool"
 	"wfsort/internal/pram"
-	"wfsort/internal/sizeclass"
 	"wfsort/internal/xrand"
 )
 
@@ -77,44 +78,35 @@ func (v Variant) String() string {
 	}
 }
 
-// Layout selects how Sort and SortFunc place shared state in memory
-// and hand out work on the native (real-goroutine) runtime. The
-// simulator ignores it: Simulate always runs the paper-faithful dense
-// layout, so simulated step counts and contention never depend on this
-// option.
+// Layout selects what the native (real-goroutine) runtime runs and how
+// it places shared state in memory. The simulator ignores it: Simulate
+// always runs the paper's graph on the dense layout, so simulated step
+// counts and contention never depend on this option.
 type Layout int
 
 // Native arena layouts.
 const (
-	// LayoutSharded is the contention-sharded fast path and the
-	// default: cache-line padded hot words, work claimed in blocks so
-	// the work-assignment trees' root traffic is amortized, sharded
-	// miss/completion counters that aggregate on read, no accounting
-	// key reads, and the output scatter done host-side. Fastest; same
-	// wait-freedom and crash tolerance as the paper's algorithm.
+	// LayoutSharded is the default and the fastest: the block-leaf
+	// kernel on a cache-line padded arena. Work-assignment trees hand out
+	// fixed blocks that each worker sorts in private scratch, then merge
+	// rounds write every element's rank. It keeps the paper's
+	// wait-freedom and crash tolerance, but not its pivot tree, so the
+	// §2.3 allocation choice (Deterministic vs Randomized) does not
+	// apply on it.
 	LayoutSharded Layout = iota
-	// LayoutPadded keeps the paper's per-element claims and operation
-	// sequence but aligns structures to cache lines and pads hot words
-	// (work-tree tops, the pivot root, counter shards).
+	// LayoutPadded runs the paper's pivot-tree graph with its
+	// per-element claims and operation sequence, on an arena that aligns
+	// structures to cache lines and pads hot words (work-tree tops, the
+	// pivot root).
 	LayoutPadded
-	// LayoutFlat is the dense simulator layout run as-is on hardware —
-	// the seed behavior, kept as the benchmark baseline.
+	// LayoutFlat runs the paper's pivot-tree graph on the dense simulator
+	// layout, as-is on hardware — the seed behavior, kept as the
+	// benchmark baseline.
 	LayoutFlat
 )
 
 // String returns the layout's mnemonic.
-func (l Layout) String() string {
-	switch l {
-	case LayoutSharded:
-		return "sharded"
-	case LayoutPadded:
-		return "padded"
-	case LayoutFlat:
-		return "flat"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
+func (l Layout) String() string { return layout.Layout(l).String() }
 
 // Layouts lists every native arena layout, fastest first.
 func Layouts() []Layout { return []Layout{LayoutSharded, LayoutPadded, LayoutFlat} }
@@ -179,13 +171,19 @@ func WithWorkers(p int) Option {
 }
 
 // WithVariant selects the algorithm variant. Defaults to Randomized.
+// On the default LayoutSharded, Deterministic and Randomized both run
+// the block-leaf kernel, which has no pivot tree for the §2.3
+// allocation to shape; the choice matters on LayoutPadded, LayoutFlat
+// and in Simulate. LowContention runs the §3 sort on every layout.
 func WithVariant(v Variant) Option {
 	return func(c *config) { c.variant = v; c.explicit |= setVariant }
 }
 
-// WithLayout selects the native arena layout (see Layout). Defaults to
-// LayoutSharded. Simulation only ever uses the dense paper layout;
-// Simulate ignores this option.
+// WithLayout selects the native layout (see Layout). Defaults to
+// LayoutSharded, the block-leaf kernel; LayoutPadded and LayoutFlat run
+// the paper's pivot tree, where WithVariant's allocation choice
+// applies. Simulation only ever uses the dense paper layout; Simulate
+// ignores this option.
 func WithLayout(l Layout) Option {
 	return func(c *config) { c.layout = l; c.explicit |= setLayout }
 }
@@ -332,30 +330,16 @@ func (c config) adversary(seq uint64) model.Adversary {
 	return pl
 }
 
-// nativeArena builds the allocator and fast-path tuning for one native
-// sort. Only SortFunc calls it; Simulate always lays out on the dense
-// model.Arena with zero tuning, which is what keeps simulated metrics
-// independent of this whole mechanism.
-func nativeArena(n int, c config) (model.Allocator, core.Tuning) {
-	switch c.layout {
-	case LayoutFlat:
-		return &model.Arena{}, core.Tuning{}
-	case LayoutPadded:
-		return native.NewArena(native.Padded), core.Tuning{}
-	default: // LayoutSharded
-		// sizeclass.Batch picks the work-claim granularity: large enough
-		// to amortize next_element traffic, small enough that every
-		// worker still sees a few blocks to claim (wait-freedom never
-		// depends on the choice — a block is a bigger idempotent job).
-		// It is shared with the pooled serving layer so arena sizing and
-		// batch sizing can never drift apart.
-		return native.NewArena(native.Padded), core.Tuning{
-			Batch:       sizeclass.Batch(n, c.workers),
-			SkipKeyRead: true,
-			Shards:      min(c.workers, 8),
-			HostShuffle: true,
-		}
+// newRunner lays out one sort of n elements for the configuration's
+// layout, variant and worker count (see layout.New). One-shot sorts,
+// pooled contexts and Simulate (which always asks for the dense Flat
+// layout) all build here.
+func newRunner(n int, c config, l Layout) (layout.Runner, model.Allocator, error) {
+	r, a, err := layout.New(layout.Layout(l), layout.Variant(c.variant), n, c.workers)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wfsort: %w", err)
 	}
+	return r, a, nil
 }
 
 // Sort sorts data in place using wait-free parallel workers. It is
@@ -397,20 +381,10 @@ func sortOnce[E any](data []E, less func(a, b E) bool, c config) error {
 		return i < j
 	}
 
-	a, tun := nativeArena(n, c)
-	runner, err := newRunner(a, n, c, tun)
+	places, err := runOnce(n, c, idxLess)
 	if err != nil {
 		return err
 	}
-	rt := native.New(native.Config{
-		P: c.workers, Mem: a.Size(), Seed: c.seed, Less: idxLess,
-		Observer: c.observer, Adversary: c.adversary(0),
-	})
-	runner.seed(rt.Memory())
-	if _, err := rt.Run(runner.program()); err != nil {
-		return err
-	}
-	places := runner.places(rt.Memory())
 	if c.churnKills > 0 || c.crashFrac > 0 {
 		// Worker 0 is never a fault target, so completion is guaranteed;
 		// this guards the invariant rather than an expected failure.
@@ -422,6 +396,24 @@ func sortOnce[E any](data []E, less func(a, b E) bool, c config) error {
 	}
 	applyPermutation(data, input, places, c.workers)
 	return nil
+}
+
+// runOnce runs one native sort of n elements ordered by idxLess on a
+// fresh arena and fresh goroutines, and returns the elements' ranks.
+func runOnce(n int, c config, idxLess func(i, j int) bool) ([]int, error) {
+	r, a, err := newRunner(n, c, c.layout)
+	if err != nil {
+		return nil, err
+	}
+	rt := native.New(native.Config{
+		P: c.workers, Mem: a.Size(), Seed: c.seed, Less: idxLess,
+		Observer: c.observer, Adversary: c.adversary(0),
+	})
+	r.Seed(rt.Memory())
+	if _, err := rt.Run(r.Program()); err != nil {
+		return nil, err
+	}
+	return r.Places(rt.Memory()), nil
 }
 
 // applyPermutation moves input[i] to data[places[i]-1], in parallel
@@ -483,88 +475,21 @@ func Simulate(keys []int, opts ...Option) (*SimResult, error) {
 		}
 		return i < j
 	}
-	var a model.Arena
-	runner, err := newRunner(&a, n, c, core.Tuning{})
+	// The dense Flat layout is the paper-faithful arena the simulator's
+	// accounting is defined on, whatever layout the options ask for.
+	r, a, err := newRunner(n, c, LayoutFlat)
 	if err != nil {
 		return nil, err
 	}
 	m := pram.New(pram.Config{P: c.workers, Mem: a.Size(), Seed: c.seed, Sched: c.sched, Less: less})
-	runner.seed(m.Memory())
-	met, err := m.Run(runner.program())
+	r.Seed(m.Memory())
+	met, err := m.Run(r.Program())
 	if err != nil {
 		return nil, err
 	}
 	return &SimResult{
-		Ranks:     runner.places(m.Memory()),
+		Ranks:     r.Places(m.Memory()),
 		Metrics:   met,
-		TreeDepth: runner.depth(m.Memory()),
+		TreeDepth: r.(interface{ Depth([]model.Word) int }).Depth(m.Memory()),
 	}, nil
-}
-
-// runner abstracts over the two sorter layouts.
-type runner struct {
-	core *core.Sorter
-	lc   *lowcont.Sorter
-}
-
-func newRunner(a model.Allocator, n int, c config, tun core.Tuning) (runner, error) {
-	switch c.variant {
-	case Deterministic:
-		return runner{core: core.NewSorterTuned(a, n, core.AllocWAT, tun)}, nil
-	case Randomized:
-		return runner{core: core.NewSorterTuned(a, n, core.AllocRandomized, tun)}, nil
-	case LowContention:
-		if c.workers < 4 || n < c.workers {
-			// Below the §3 regime the deterministic contention bound
-			// O(P) is small anyway; fall back to the Section 2 sort.
-			return runner{core: core.NewSorterTuned(a, n, core.AllocRandomized, tun)}, nil
-		}
-		// The §3 research variant keeps the paper's own contention
-		// machinery; of the Section 2 fast-path tuning it takes only the
-		// batched work-claim granularity (glue/shuffle LC-WAT jobs span
-		// Batch elements), which composes with the paper's machinery
-		// without altering it. Zero tuning (simulator, flat/padded
-		// layouts) means batch 1, the paper-faithful granularity.
-		return runner{lc: lowcont.NewTuned(a, n, c.workers, tun.Batch)}, nil
-	default:
-		return runner{}, fmt.Errorf("wfsort: unknown variant %v", c.variant)
-	}
-}
-
-func (r runner) seed(mem []model.Word) {
-	if r.core != nil {
-		r.core.Seed(mem)
-	} else {
-		r.lc.Seed(mem)
-	}
-}
-
-func (r runner) program() model.Program {
-	if r.core != nil {
-		return r.core.Program()
-	}
-	return r.lc.Program()
-}
-
-func (r runner) places(mem []model.Word) []int {
-	if r.core != nil {
-		return r.core.Places(mem)
-	}
-	return r.lc.Places(mem)
-}
-
-func (r runner) depth(mem []model.Word) int {
-	if r.core != nil {
-		return r.core.Depth(mem)
-	}
-	return r.lc.Depth(mem)
-}
-
-// asPoolRunner exposes the underlying sorter through the pooling
-// layer's Runner interface (both sorters satisfy it directly).
-func (r runner) asPoolRunner() pool.Runner {
-	if r.core != nil {
-		return r.core
-	}
-	return r.lc
 }
