@@ -113,7 +113,7 @@ func (o *Observer) RunStart(p int) {
 	if o.cfg.Watchdog > 0 {
 		o.stop = make(chan struct{})
 		o.stopped.Add(1)
-		go o.watch()
+		go o.watch(o.stop)
 	}
 }
 
@@ -132,17 +132,16 @@ func (o *Observer) RunEnd() {
 }
 
 // watch polls every live processor's published op ordinal and records a
-// Violation when one sits still for StallIntervals consecutive polls.
-func (o *Observer) watch() {
+// Violation when one sits still for StallIntervals consecutive polls,
+// until stop closes. stop is handed over by RunStart: RunEnd may clear
+// o.stop before this goroutine first runs.
+func (o *Observer) watch(stop <-chan struct{}) {
 	defer o.stopped.Done()
 	ticker := time.NewTicker(o.cfg.Watchdog)
 	defer ticker.Stop()
 	last := make([]int64, len(o.cells))
 	still := make([]int, len(o.cells))
 	flagged := make([]bool, len(o.cells))
-	o.mu.Lock()
-	stop := o.stop
-	o.mu.Unlock()
 	for {
 		select {
 		case <-stop:

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -104,5 +105,28 @@ func TestWatchdogSilentOnFaultlessRun(t *testing.T) {
 	snap := ob.Snapshot()
 	if !snap.Finished || snap.Events == 0 {
 		t.Errorf("snapshot after run: %+v", snap)
+	}
+}
+
+// TestRunEndStopsUnstartedWatchdog ends runs before their watchdog
+// goroutine is first scheduled, the common order at GOMAXPROCS(1). The
+// watchdog must get its stop channel from RunStart, not read it once
+// it runs: by then RunEnd has cleared it, the watchdog waits on a nil
+// channel, and RunEnd waits for the watchdog forever.
+func TestRunEndStopsUnstartedWatchdog(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := 0; i < 20; i++ {
+		ob := obs.New(obs.Config{Watchdog: time.Millisecond})
+		done := make(chan struct{})
+		go func() {
+			ob.RunStart(2)
+			ob.RunEnd()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %d: RunEnd still waiting on the watchdog after 5s", i)
+		}
 	}
 }

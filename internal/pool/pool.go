@@ -196,15 +196,24 @@ func (p *Pool) buildCtx(capacity, ci int) (*Ctx, error) {
 		return nil, err
 	}
 	p.builds.Add(1)
+	c := NewCtx(capacity, r, a)
+	c.class = ci
+	return c, nil
+}
+
+// NewCtx builds a seeded, ready-to-sort context of the given capacity
+// from a runner laid out for it in arena a. The context belongs to no
+// size class, so Put drops it.
+func NewCtx(capacity int, r Runner, a model.Allocator) *Ctx {
 	c := &Ctx{
 		Capacity: capacity,
 		Runner:   r,
 		Mem:      make([]model.Word, a.Size()),
 		Places:   make([]int, capacity),
-		class:    ci,
+		class:    -1,
 	}
 	r.Seed(c.Mem)
-	return c, nil
+	return c
 }
 
 // Put resets the context and returns it to its class's free list, or

@@ -1,6 +1,6 @@
 // Package sizeclass centralizes the sizing policy shared by the
-// one-shot sort path (wfsort.Sort) and the pooled serving layer
-// (internal/pool, wfsort.Sorter). Before this package existed the
+// pooled sort contexts (internal/pool, wfsort.Pool) and the serving
+// tiers above them. Before this package existed the
 // work-claim batch size lived in the root package and every consumer
 // of "how big should the arena be" invented its own answer; pooling
 // makes the sizing load-bearing (a pooled context's capacity decides
@@ -13,8 +13,8 @@ import "fmt"
 const (
 	// MinClass is the smallest pooled arena capacity. Below it the
 	// fixed costs of a parallel sort dwarf the work, so tiny inputs
-	// take the fresh (exact-size) path instead of occupying a pooled
-	// context built for MinClass elements.
+	// get an exact-size context (see FreshCutoff) instead of occupying
+	// a pooled context built for MinClass elements.
 	MinClass = 256
 
 	// MaxClass is the largest pooled arena capacity. Inputs above it
@@ -23,10 +23,11 @@ const (
 	// list is how serving processes quietly eat their hosts.
 	MaxClass = 1 << 20
 
-	// FreshCutoff is the input size below which the pooled path
-	// delegates to the one-shot sort: the padding overhead of rounding
-	// a tiny input up to MinClass exceeds the cost of just building a
-	// tiny arena.
+	// FreshCutoff is the largest input a pool sorts on a freshly laid
+	// out exact-size context rather than a size-class one: the padding
+	// overhead of rounding a tiny input up to MinClass exceeds the cost
+	// of just building a tiny arena. Such sorts still run on the pool's
+	// resident serial team, never its pipelined crew.
 	FreshCutoff = 64
 
 	// DefaultMaxKeys is the default request size limit for a single

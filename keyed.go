@@ -1,30 +1,25 @@
 package wfsort
 
-// The keyed zero-copy sort path. SortFunc and Sorter order elements by
-// calling a comparator on payload copies: the input is duplicated into
-// a scratch slice so the final scatter can read it while writing the
-// caller's slice. That is the right contract for arbitrary orderings,
-// but production traffic is overwhelmingly "sort these records by this
-// integer field" — and for that shape copying the payloads is pure
-// waste. The keyed path extracts one uint64 key per element into a
-// pooled key buffer, sorts the KEYS through the same wait-free arenas,
-// teams, pipeline, QoS and fault planes as every other sort (the
-// shared core is Pool.runPooled), and then reorders the caller's slice
-// in place by walking the permutation's swap cycles. Element payloads
-// are never copied anywhere: memory traffic per element is 8 bytes of
-// key plus the O(1) swaps of the cycle walk, independent of payload
-// size. Keys must embed the desired order in uint64 ascending order;
-// Int64Key converts a signed key order-preservingly. Ties are broken
-// by original position, so keyed sorts are stable like every other
-// wfsort sort. For orderings a uint64 cannot encode, SortFunc and
-// NewSorterFunc remain the comparator fallback.
+// The keyed sort path. Production traffic is overwhelmingly "sort these
+// records by this integer field", and for that shape a comparator call
+// per comparison is pure overhead. The keyed path extracts one uint64
+// key per element into a pooled key buffer and sorts the KEYS through
+// the same wait-free arenas, teams, pipeline, QoS and fault planes as
+// every other sort (the shared body is sortOn). Like the comparator
+// path it then reorders the caller's slice in place by walking the
+// permutation's swap cycles, so element payloads are never copied:
+// memory traffic per element is 8 bytes of key plus the O(1) swaps of
+// the cycle walk, independent of payload size. Keys must embed the
+// desired order in uint64 ascending order; Int64Key converts a signed
+// key order-preservingly. Ties are broken by original position, so
+// keyed sorts are stable like every other wfsort sort. For orderings a
+// uint64 cannot encode, SortFunc and NewSorterFunc remain the
+// comparator fallback.
 
 import (
 	"context"
 	"fmt"
 	"sync"
-
-	"wfsort/internal/sizeclass"
 )
 
 // Int64Key maps an int64 to a uint64 preserving order: flip the sign
@@ -47,31 +42,46 @@ func SortKeyed[T any](data []T, key func(T) uint64, opts ...Option) error {
 	if n < 2 {
 		return nil
 	}
-	c, err := buildConfig(n, opts)
+	p, err := oneCall(n, opts)
 	if err != nil {
 		return err
 	}
-	return sortOnceKeyed(data, key, c, make([]uint64, n))
+	return sortOn(context.Background(), p, data, extractKeys(data, key, make([]uint64, n)), nil)
 }
 
-// sortOnceKeyed is the one-shot keyed sort: fresh arena, fresh
-// goroutines, keys in, in-place permutation out. keyBuf must have
-// length >= n; the pooled KeyedSorter hands in its recycled buffer.
-func sortOnceKeyed[T any](data []T, key func(T) uint64, c config, keyBuf []uint64) error {
-	n := len(data)
-	keys := keyBuf[:n]
+// extractKeys fills keys[:len(data)] with each element's key.
+func extractKeys[T any](data []T, key func(T) uint64, keys []uint64) []uint64 {
+	keys = keys[:len(data)]
 	for i := range data {
 		keys[i] = key(data[i])
 	}
-	idxLess := func(i, j int) bool {
+	return keys
+}
+
+// keyedLess orders arena indices 1..capacity by keys, ties by index,
+// with the virtual padding of funcLess: indices past len(keys) compare
+// greatest, and an exact fit skips the pad branch entirely.
+func keyedLess(keys []uint64, capacity int) func(i, j int) bool {
+	n := len(keys)
+	if n == capacity {
+		return func(i, j int) bool {
+			a, b := keys[i-1], keys[j-1]
+			return a < b || (a == b && i < j)
+		}
+	}
+	return func(i, j int) bool {
+		pi, pj := i > n, j > n
+		switch {
+		case pi && pj:
+			return i < j
+		case pi:
+			return false
+		case pj:
+			return true
+		}
 		a, b := keys[i-1], keys[j-1]
 		return a < b || (a == b && i < j)
 	}
-	places, err := runOnce(n, c, idxLess)
-	if err != nil {
-		return err
-	}
-	return permuteInPlace(data, places)
 }
 
 // permuteInPlace moves data[i] to position places[i]-1 by walking the
@@ -104,9 +114,9 @@ func permuteInPlace[T any](data []T, places []int) error {
 
 // KeyedSorter is the reusable form of SortKeyed: pooled arenas,
 // resident teams or a pipelined crew, QoS and tracing via context —
-// exactly Sorter's machinery — with the keyed path's zero payload
-// copies. Create one with NewKeyedSorter; it is safe for concurrent
-// use (concurrent sorts borrow separate contexts and key buffers).
+// exactly Sorter's machinery — ordered by extracted keys. Create one
+// with NewKeyedSorter; it is safe for concurrent use (concurrent sorts
+// borrow separate contexts and key buffers).
 type KeyedSorter[T any] struct {
 	p     *Pool
 	owned bool
@@ -124,21 +134,11 @@ func NewKeyedSorter[T any](key func(T) uint64, opts ...Option) (*KeyedSorter[T],
 	if key == nil {
 		return nil, fmt.Errorf("wfsort: NewKeyedSorter requires a key function")
 	}
-	c, err := applyOptions(opts)
+	p, owned, err := sorterPool(opts)
 	if err != nil {
 		return nil, err
 	}
-	if c.pool != nil {
-		if c.explicit&^setPool != 0 {
-			return nil, fmt.Errorf("wfsort: WithPool conflicts with every other option; the pool fixes the configuration")
-		}
-		return &KeyedSorter[T]{p: c.pool, key: key}, nil
-	}
-	p, err := NewPool(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &KeyedSorter[T]{p: p, owned: true, key: key}, nil
+	return &KeyedSorter[T]{p: p, owned: owned, key: key}, nil
 }
 
 // Close releases the sorter's pool when it owns one.
@@ -164,59 +164,12 @@ func (s *KeyedSorter[T]) SortContext(ctx context.Context, data []T) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	n := len(data)
-	if n < 2 {
+	if len(data) < 2 {
 		return nil
 	}
-	kb := s.getKeys(n)
+	kb := s.getKeys(len(data))
 	defer s.keys.Put(kb)
-	if n <= sizeclass.FreshCutoff {
-		c := s.p.c
-		if c.workers > n {
-			c.workers = n
-		}
-		return sortOnceKeyed(data, s.key, c, *kb)
-	}
-
-	pc, err := s.p.ctxs.Get(n)
-	if err != nil {
-		return err
-	}
-	defer s.p.putCtx(pc)
-
-	keys := (*kb)[:n]
-	for i := range data {
-		keys[i] = s.key(data[i])
-	}
-	// Virtual padding, as in Sorter.SortContext: pad indices beyond n
-	// compare greater than every real element so the class-capacity
-	// sort ranks the real ones 1..n; the exact-fit class skips the
-	// pad branch entirely.
-	var idxLess func(i, j int) bool
-	if n == pc.Capacity {
-		idxLess = func(i, j int) bool {
-			a, b := keys[i-1], keys[j-1]
-			return a < b || (a == b && i < j)
-		}
-	} else {
-		idxLess = func(i, j int) bool {
-			pi, pj := i > n, j > n
-			switch {
-			case pi && pj:
-				return i < j
-			case pi:
-				return false
-			case pj:
-				return true
-			}
-			a, b := keys[i-1], keys[j-1]
-			return a < b || (a == b && i < j)
-		}
-	}
-	if err := s.p.runPooled(ctx, pc, n, idxLess); err != nil {
-		return err
-	}
-	return permuteInPlace(data, pc.Places[:n])
+	return sortOn(ctx, s.p, data, extractKeys(data, s.key, *kb), nil)
 }
 
 // getKeys borrows a key buffer with length >= n.

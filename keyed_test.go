@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -74,12 +75,22 @@ func TestSortKeyedNegativeKeys(t *testing.T) {
 	}
 }
 
+// TestSortKeyedNilKey: a nil key or less function is an argument error
+// up front, even for inputs too short to sort, never a worker panic.
 func TestSortKeyedNilKey(t *testing.T) {
 	if err := SortKeyed([]record{{}, {}}, nil); err == nil {
 		t.Fatal("nil key function accepted")
 	}
 	if _, err := NewKeyedSorter[record](nil); err == nil {
 		t.Fatal("NewKeyedSorter accepted nil key function")
+	}
+	for _, data := range [][]record{nil, {{}, {}}} {
+		if err := SortFunc(data, nil); err == nil {
+			t.Fatalf("SortFunc accepted a nil less function (n=%d)", len(data))
+		}
+	}
+	if _, err := NewSorterFunc[record](nil); err == nil {
+		t.Fatal("NewSorterFunc accepted a nil less function")
 	}
 }
 
@@ -314,14 +325,12 @@ func TestKeyedZeroPayloadCopies(t *testing.T) {
 	}
 }
 
-// BenchmarkKeyedVsComparator is the benchmark evidence behind the
-// zero-copy claim. Both paths pool their scratch, so the comparator's
-// per-sort payload copy shows up in ns/op rather than B/op (copying a
-// pooled buffer allocates nothing): at 136-byte payloads the keyed
-// path runs ~2x faster per sort on the reference container. The
-// allocation-side assertion lives in TestKeyedZeroPayloadCopies, which
-// pins steady-state TotalAlloc per keyed sort to a small constant far
-// below one payload copy.
+// BenchmarkKeyedVsComparator times the keyed ordering (extracted uint64
+// keys) against the comparator ordering (less over the records
+// themselves) on 136-byte records. Both permute in place and copy no
+// payload; the allocation-side assertion lives in
+// TestKeyedZeroPayloadCopies, which pins steady-state TotalAlloc per
+// keyed sort to a small constant far below one payload copy.
 func BenchmarkKeyedVsComparator(b *testing.B) {
 	const n = 4096
 	b.Run("keyed", func(b *testing.B) {
@@ -360,4 +369,57 @@ func BenchmarkKeyedVsComparator(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEntryPointSizes times two entry-point regimes: a 64-key
+// KeyedSorter on a pipelined pool, which runs on an exact-size context
+// and the pool's resident serial team (the serving tier's
+// single-request batches), and one-shot SortFunc over 32-byte records,
+// which reads the payloads in place, so its B/op is the arena and rank
+// table alone. Run with -benchmem.
+func BenchmarkEntryPointSizes(b *testing.B) {
+	b.Run("KeyedSorter/pipeline4/n=64", func(b *testing.B) {
+		s, err := NewKeyedSorter(Int64Key, WithWorkers(2), WithPipeline(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		rng := rand.New(rand.NewSource(1))
+		src := make([]int64, 64)
+		for i := range src {
+			src[i] = rng.Int63()
+		}
+		data := make([]int64, len(src))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copy(data, src)
+			if err := s.Sort(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	type rec32 struct {
+		key int64
+		pad [3]int64
+	}
+	for _, n := range []int{3500, 50000} {
+		b.Run("SortFunc/rec32/n="+strconv.Itoa(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			src := make([]rec32, n)
+			for i := range src {
+				src[i] = rec32{key: rng.Int63n(int64(n))}
+			}
+			data := make([]rec32, n)
+			less := func(a, b rec32) bool { return a.key < b.key }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(data, src)
+				if err := SortFunc(data, less); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -63,31 +63,75 @@ func TestSorterReuse(t *testing.T) {
 	}
 }
 
-// TestSorterStability sorts records by key only and checks equal keys
-// keep their input order, through the pooled (padded) path.
+// TestSorterStability runs every library entry point — the one-shot
+// Sort, SortFunc and SortKeyed, and Sorter and KeyedSorter on their own
+// pool and on a shared pipelined one via WithPool — over tagged records
+// with many equal keys, and checks each result against sort.SliceStable
+// element for element. The sizes cross the exact-size/size-class
+// boundary, the exact-fit and padded orderings, and n below the worker
+// count on a resident team.
 func TestSorterStability(t *testing.T) {
-	type rec struct{ key, pos int }
-	s, err := NewSorterFunc[rec](func(a, b rec) bool { return a.key < b.key }, WithWorkers(4))
+	byKey := func(a, b record) bool { return a.key < b.key }
+	shared, err := NewPool(WithWorkers(4), WithPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 5; trial++ {
-		n := 100 + rng.Intn(900)
-		data := make([]rec, n)
-		for i := range data {
-			data[i] = rec{key: rng.Intn(7), pos: i}
-		}
-		if err := s.Sort(data); err != nil {
+	defer shared.Close()
+	sorter := func(opts ...Option) func([]record) error {
+		s, err := NewSorterFunc(byKey, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 1; i < n; i++ {
-			if data[i-1].key > data[i].key {
-				t.Fatalf("trial %d: not sorted at %d", trial, i)
+		t.Cleanup(s.Close)
+		return s.Sort
+	}
+	keyed := func(opts ...Option) func([]record) error {
+		s, err := NewKeyedSorter(recordKey, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s.Sort
+	}
+	entries := []struct {
+		name string
+		sort func([]record) error
+	}{
+		{"Sort", func(data []record) error {
+			// Sort needs an ordered type: pack (key, seq) so the natural
+			// order is the stable order, then gather the records by seq.
+			packed := make([]int64, len(data))
+			for i, r := range data {
+				packed[i] = r.key<<32 | int64(r.seq)
 			}
-			if data[i-1].key == data[i].key && data[i-1].pos > data[i].pos {
-				t.Fatalf("trial %d: stability broken at %d", trial, i)
+			if err := Sort(packed, WithWorkers(4)); err != nil {
+				return err
+			}
+			orig := append([]record(nil), data...)
+			for i, v := range packed {
+				data[i] = orig[v&(1<<32-1)]
+			}
+			return nil
+		}},
+		{"SortFunc", func(data []record) error { return SortFunc(data, byKey, WithWorkers(4)) }},
+		{"SortKeyed", func(data []record) error { return SortKeyed(data, recordKey, WithWorkers(4)) }},
+		{"Sorter", sorter(WithWorkers(4))},
+		{"Sorter/WithPool", sorter(WithPool(shared))},
+		{"KeyedSorter", keyed(WithWorkers(4))},
+		{"KeyedSorter/WithPool", keyed(WithPool(shared))},
+	}
+	for _, e := range entries {
+		for _, n := range []int{2, 3, 64, 65, 256, 257, 4096} {
+			data := makeRecords(n, int64(n))
+			want := append([]record(nil), data...)
+			sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
+			if err := e.sort(data); err != nil {
+				t.Fatalf("%s n=%d: %v", e.name, n, err)
+			}
+			for i := range want {
+				if data[i] != want[i] {
+					t.Fatalf("%s n=%d: position %d holds seq %d, want seq %d", e.name, n, i, data[i].seq, want[i].seq)
+				}
 			}
 		}
 	}

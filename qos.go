@@ -46,8 +46,8 @@ type jobQoSKey struct{}
 // WithJobQoS returns a context carrying the QoS envelope for one
 // pooled SortContext call: the class label, priority tier, cost
 // estimate and deadline the pipeline's queue policy schedules by.
-// Sorts small enough for the fresh-sort cutoff, and pools without a
-// pipeline, ignore it.
+// Sorts of 64 elements or fewer, which never enter the crew, and pools
+// without a pipeline ignore it.
 func WithJobQoS(ctx context.Context, q JobQoS) context.Context {
 	return context.WithValue(ctx, jobQoSKey{}, q)
 }

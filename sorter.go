@@ -25,7 +25,10 @@ type PoolStats = pool.Stats
 // sizeclass.MaxClass); a request for n elements borrows the smallest
 // class that fits, pads the tail with virtual greatest elements, sorts
 // at class capacity, and returns the context reset for the next
-// borrower. Workers live in resident teams whose goroutines survive
+// borrower. A tiny request (n <= sizeclass.FreshCutoff) lays out an
+// exact-size context instead, cheaper than padding up to the smallest
+// class, and runs on a resident serial team even when the pool
+// pipelines. Workers live in resident teams whose goroutines survive
 // even the fault plane's kills: only the sort program unwinds, so a
 // team battered by WithChurn or WithCrashes is back at full strength
 // for its next job.
@@ -36,7 +39,7 @@ type PoolStats = pool.Stats
 // use; concurrent sorts each borrow their own context and team.
 type Pool struct {
 	c    config
-	ctxs *pool.Pool
+	ctxs *pool.Pool // nil on a one-call pool (see oneCall)
 	seq  atomic.Uint64
 
 	mu     sync.Mutex
@@ -80,6 +83,36 @@ func NewPool(opts ...Option) (*Pool, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// oneCall is the pool behind one one-shot sort of n elements (Sort,
+// SortFunc, SortKeyed). It keeps no contexts and is born closed, so its
+// one sort runs on an exact-size context and a fresh serial team, which
+// carries WithObserver, and the team is closed on return.
+func oneCall(n int, opts []Option) (*Pool, error) {
+	c, err := buildConfig(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Pool{c: c, closed: true}, nil
+}
+
+// sorterPool resolves a reusable sorter's pool: the shared one named by
+// WithPool, which no other option may accompany, or a private one that
+// opts configure and the sorter owns.
+func sorterPool(opts []Option) (p *Pool, owned bool, err error) {
+	c, err := applyOptions(opts)
+	if err != nil {
+		return nil, false, err
+	}
+	if c.pool == nil {
+		p, err = NewPool(opts...)
+		return p, err == nil, err
+	}
+	if c.explicit&^setPool != 0 {
+		return nil, false, fmt.Errorf("wfsort: WithPool conflicts with every other option; the pool fixes the configuration")
+	}
+	return c.pool, false, nil
 }
 
 // WithPool makes NewSorter borrow contexts and teams from a shared
@@ -194,6 +227,21 @@ func (p *Pool) putTeam(t *native.Team) {
 	t.Close()
 }
 
+// getCtx borrows a context for n elements: an exact-size one, never
+// pooled, for a tiny sort or on a one-call pool; the smallest fitting
+// size class otherwise.
+func (p *Pool) getCtx(n int) (pc *pool.Ctx, exact bool, err error) {
+	if p.ctxs != nil && n > sizeclass.FreshCutoff {
+		pc, err = p.ctxs.Get(n)
+		return pc, false, err
+	}
+	r, a, err := newRunner(n, p.c, p.c.layout)
+	if err != nil {
+		return nil, true, err
+	}
+	return pool.NewCtx(n, r, a), true, nil
+}
+
 // putCtx returns a context unless the pool has been closed.
 func (p *Pool) putCtx(c *pool.Ctx) {
 	p.mu.Lock()
@@ -204,15 +252,16 @@ func (p *Pool) putCtx(c *pool.Ctx) {
 	}
 }
 
-// Sorter is a reusable sorter: steady-state Sort calls reuse pooled
-// arenas and resident workers, so they build nothing and spawn
-// nothing. Create one with NewSorter or NewSorterFunc; a Sorter is
-// safe for concurrent use (concurrent sorts borrow separate contexts).
+// Sorter is the comparator form of KeyedSorter: the same pooled
+// machinery and in-place permutation, ordered by a less function that
+// reads the caller's slice directly. Steady-state sorts spawn nothing,
+// copy no payload, and above 64 elements build no arena. Create one
+// with NewSorter or NewSorterFunc; a Sorter is safe for concurrent use
+// (concurrent sorts borrow separate contexts).
 type Sorter[E any] struct {
 	p     *Pool
 	owned bool
 	less  func(a, b E) bool
-	bufs  sync.Pool // *[]E input copies
 }
 
 // NewSorter returns a reusable sorter over the natural order.
@@ -226,21 +275,14 @@ func NewSorter[E cmp.Ordered](opts ...Option) (*Sorter[E], error) {
 // configured by opts (and Close releases it); with WithPool it borrows
 // from the shared pool and no other option may be given.
 func NewSorterFunc[E any](less func(a, b E) bool, opts ...Option) (*Sorter[E], error) {
-	c, err := applyOptions(opts)
+	if less == nil {
+		return nil, fmt.Errorf("wfsort: NewSorterFunc requires a less function")
+	}
+	p, owned, err := sorterPool(opts)
 	if err != nil {
 		return nil, err
 	}
-	if c.pool != nil {
-		if c.explicit&^setPool != 0 {
-			return nil, fmt.Errorf("wfsort: WithPool conflicts with every other option; the pool fixes the configuration")
-		}
-		return &Sorter[E]{p: c.pool, less: less}, nil
-	}
-	p, err := NewPool(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Sorter[E]{p: p, owned: true, less: less}, nil
+	return &Sorter[E]{p: p, owned: owned, less: less}, nil
 }
 
 // Close releases the sorter's pool when it owns one; a sorter sharing
@@ -262,100 +304,103 @@ func (s *Sorter[E]) Sort(data []E) error {
 // SortContext is Sort with cancellation: when ctx is canceled
 // mid-sort, every worker is killed — always safe, wait-freedom is
 // exactly the license to kill mid-flight — the borrowed context is
-// reset for the next borrower, data is left unchanged (the sort works
-// on a copy until the final scatter), and ctx.Err() is returned.
+// reset for the next borrower, data is left unchanged (the sort only
+// reads it until the final in-place permutation), and ctx.Err() is
+// returned.
 func (s *Sorter[E]) SortContext(ctx context.Context, data []E) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	n := len(data)
-	if n < 2 {
+	if len(data) < 2 {
 		return nil
 	}
-	if n <= sizeclass.FreshCutoff {
-		// Padding a tiny sort to the smallest class costs more than
-		// building a right-sized arena; take the one-shot path.
-		c := s.p.c
-		if c.workers > n {
-			c.workers = n
-		}
-		return sortOnce(data, s.less, c)
-	}
+	return sortOn(ctx, s.p, data, nil, s.less)
+}
 
-	pc, err := s.p.ctxs.Get(n)
+// sortOn is the one sort body behind every library entry point: borrow
+// a context from p, rank data's elements — by keys when given, else by
+// less on data itself — and permute data in place by the ranks. data is
+// written only once every element is ranked, so a canceled or failed
+// sort leaves it unchanged.
+func sortOn[T any](ctx context.Context, p *Pool, data []T, keys []uint64, less func(a, b T) bool) error {
+	n := len(data)
+	pc, exact, err := p.getCtx(n)
 	if err != nil {
 		return err
 	}
-	defer s.p.putCtx(pc)
-
-	buf := s.getBuf(n)
-	defer s.bufs.Put(buf)
-	input := (*buf)[:n]
-	copy(input, data)
-
-	// Virtual padding: elements n+1..Capacity compare greater than every
-	// real element (ties by index), so the class-capacity sort ranks the
-	// real elements exactly 1..n and the pads n+1..Capacity. When the
-	// request fills its class exactly there are no pads, and the
-	// pad-check branch is too expensive to pay on every comparison.
-	less := s.less
-	var idxLess func(i, j int) bool
-	if n == pc.Capacity {
-		idxLess = func(i, j int) bool {
-			a, b := input[i-1], input[j-1]
-			if less(a, b) {
-				return true
-			}
-			if less(b, a) {
-				return false
-			}
-			return i < j
-		}
-	} else {
-		idxLess = func(i, j int) bool {
-			pi, pj := i > n, j > n
-			switch {
-			case pi && pj:
-				return i < j
-			case pi:
-				return false
-			case pj:
-				return true
-			}
-			a, b := input[i-1], input[j-1]
-			if less(a, b) {
-				return true
-			}
-			if less(b, a) {
-				return false
-			}
-			return i < j
-		}
+	if !exact {
+		defer p.putCtx(pc)
 	}
-
-	if err := s.p.runPooled(ctx, pc, n, idxLess); err != nil {
+	var idxLess func(i, j int) bool
+	if keys != nil {
+		idxLess = keyedLess(keys, pc.Capacity)
+	} else {
+		idxLess = funcLess(data, less, pc.Capacity)
+	}
+	if err := p.runPooled(ctx, pc, n, exact, idxLess); err != nil {
 		return err
 	}
-	applyPermutation(data, input, pc.Places[:n], s.p.c.workers)
-	return nil
+	return permuteInPlace(data, pc.Places[:n])
+}
+
+// funcLess orders arena indices 1..capacity by less over data, ties by
+// index. Indices past len(data) are virtual pads that compare greater
+// than every element (ties by index), so a class-capacity sort ranks
+// the real elements exactly 1..n. When data fills its context there are
+// no pads, and the pad-check branch is too expensive to pay on every
+// comparison.
+func funcLess[E any](data []E, less func(a, b E) bool, capacity int) func(i, j int) bool {
+	n := len(data)
+	if n == capacity {
+		return func(i, j int) bool {
+			a, b := data[i-1], data[j-1]
+			if less(a, b) {
+				return true
+			}
+			if less(b, a) {
+				return false
+			}
+			return i < j
+		}
+	}
+	return func(i, j int) bool {
+		pi, pj := i > n, j > n
+		switch {
+		case pi && pj:
+			return i < j
+		case pi:
+			return false
+		case pj:
+			return true
+		}
+		a, b := data[i-1], data[j-1]
+		if less(a, b) {
+			return true
+		}
+		if less(b, a) {
+			return false
+		}
+		return i < j
+	}
 }
 
 // runPooled executes one sort job on the pool's machinery — pipelined
-// crew when configured, serial team otherwise — with the QoS envelope
-// and trace sink drawn from ctx, an abort watcher on ctx cancellation,
-// and rank validation. On success pc.Places[:n] holds each element's
-// 1-based rank. It is the shared core under Sorter (payload-copying,
-// comparator-ordered) and KeyedSorter (zero-copy, key-ordered): both
-// reduce their ordering to an idxLess over 1-based arena indices and
-// diverge only in how the permutation is applied afterwards.
-func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, idxLess func(i, j int) bool) error {
+// crew when configured, serial team otherwise; exact contexts always
+// take a serial team — with the QoS envelope and trace sink drawn from
+// ctx, an abort watcher on ctx cancellation, and rank validation. On
+// success pc.Places[:n] holds each element's 1-based rank.
+func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, exact bool, idxLess func(i, j int) bool) error {
 	seq := p.seq.Add(1)
 	c := p.c
 	sink := sortTraceFrom(ctx)
 	var run sortRun
 	var pipeRun *native.PipeRun
 	var teamStart time.Time
-	if pl := p.borrowPipeline(); pl != nil {
+	var pl *native.Pipeline
+	if !exact {
+		pl = p.borrowPipeline()
+	}
+	if pl != nil {
 		defer p.releasePipeline()
 		// The request's QoS envelope rides the context; the queue policy
 		// schedules by it. EstCost defaults to the borrowed class
@@ -384,6 +429,7 @@ func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, idxLess func(
 			Less:      idxLess,
 			Seed:      c.seed + seq,
 			Adversary: c.adversary(seq),
+			Observer:  c.observer,
 		})
 	}
 	var watcherDone chan struct{}
@@ -440,16 +486,4 @@ type sortRun interface {
 	Wait() (*model.Metrics, error)
 	Abort()
 	Aborted() bool
-}
-
-// getBuf borrows an input-copy buffer with capacity >= n.
-func (s *Sorter[E]) getBuf(n int) *[]E {
-	if v := s.bufs.Get(); v != nil {
-		b := v.(*[]E)
-		if cap(*b) >= n {
-			return b
-		}
-	}
-	b := make([]E, n)
-	return &b
 }

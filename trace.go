@@ -15,8 +15,8 @@ type PhaseDur = native.PhaseDur
 // sink holds the sort's interior attribution:
 //
 //   - QueueWaitNs: time the job spent in the pipelined crew's pending
-//     queue before dispatch (0 on serial-team and fresh-path sorts,
-//     which have no queue);
+//     queue before dispatch (0 on serial-team sorts, which include
+//     every sort of 64 elements or fewer, as they have no queue);
 //   - RunNs: crew-execution wall time, dispatch (or team start) to
 //     last worker done;
 //   - Phases: per-phase breakdown of RunNs using the engine graph's

@@ -32,9 +32,9 @@ package wfsort
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"wfsort/internal/layout"
 	"wfsort/internal/model"
@@ -242,9 +242,10 @@ func WithCrashes(frac float64, window int64) Option {
 // worker having cleared phase 1 of sort k, so the crew never idles
 // behind its slowest member at a job boundary. depth bounds how many
 // sorts may queue per worker beyond the one in flight; depth < 1 means
-// 1. Pools and pooled sorters only — one-shot Sort/SortFunc and
-// Simulate have exactly one job, so there is nothing to pipeline and
-// they reject the option.
+// 1. Sorts of 64 elements or fewer skip the crew and run on the pool's
+// resident serial team. Pools and pooled sorters only — one-shot
+// Sort/SortFunc/SortKeyed and Simulate have exactly one job, so there
+// is nothing to pipeline and they reject the option.
 func WithPipeline(depth int) Option {
 	return func(c *config) {
 		if depth < 1 {
@@ -331,7 +332,7 @@ func (c config) adversary(seq uint64) model.Adversary {
 }
 
 // newRunner lays out one sort of n elements for the configuration's
-// layout, variant and worker count (see layout.New). One-shot sorts,
+// layout, variant and worker count (see layout.New). Exact-size and
 // pooled contexts and Simulate (which always asks for the dense Flat
 // layout) all build here.
 func newRunner(n int, c config, l Layout) (layout.Runner, model.Allocator, error) {
@@ -352,94 +353,20 @@ func Sort[E cmp.Ordered](data []E, opts ...Option) error {
 // wait-free parallel workers. Ties are broken by original position, so
 // the sort is stable. less must be a strict weak ordering; it is called
 // concurrently and must be safe for concurrent use on immutable data.
+// data is read in place, not copied, and is written only by the final
+// permutation.
 func SortFunc[E any](data []E, less func(a, b E) bool, opts ...Option) error {
-	n := len(data)
-	if n < 2 {
+	if less == nil {
+		return fmt.Errorf("wfsort: SortFunc requires a less function")
+	}
+	if len(data) < 2 {
 		return nil
 	}
-	c, err := buildConfig(n, opts)
+	p, err := oneCall(len(data), opts)
 	if err != nil {
 		return err
 	}
-	return sortOnce(data, less, c)
-}
-
-// sortOnce is the one-shot native sort: fresh arena, fresh goroutines.
-// SortFunc and the pooled Sorter's small-input path both end here.
-func sortOnce[E any](data []E, less func(a, b E) bool, c config) error {
-	n := len(data)
-	input := make([]E, n)
-	copy(input, data)
-	idxLess := func(i, j int) bool {
-		a, b := input[i-1], input[j-1]
-		if less(a, b) {
-			return true
-		}
-		if less(b, a) {
-			return false
-		}
-		return i < j
-	}
-
-	places, err := runOnce(n, c, idxLess)
-	if err != nil {
-		return err
-	}
-	if c.churnKills > 0 || c.crashFrac > 0 {
-		// Worker 0 is never a fault target, so completion is guaranteed;
-		// this guards the invariant rather than an expected failure.
-		for i, r := range places {
-			if r < 1 || r > n {
-				return fmt.Errorf("wfsort: sort incomplete (element %d unranked)", i+1)
-			}
-		}
-	}
-	applyPermutation(data, input, places, c.workers)
-	return nil
-}
-
-// runOnce runs one native sort of n elements ordered by idxLess on a
-// fresh arena and fresh goroutines, and returns the elements' ranks.
-func runOnce(n int, c config, idxLess func(i, j int) bool) ([]int, error) {
-	r, a, err := newRunner(n, c, c.layout)
-	if err != nil {
-		return nil, err
-	}
-	rt := native.New(native.Config{
-		P: c.workers, Mem: a.Size(), Seed: c.seed, Less: idxLess,
-		Observer: c.observer, Adversary: c.adversary(0),
-	})
-	r.Seed(rt.Memory())
-	if _, err := rt.Run(r.Program()); err != nil {
-		return nil, err
-	}
-	return r.Places(rt.Memory()), nil
-}
-
-// applyPermutation moves input[i] to data[places[i]-1], in parallel
-// chunks for large inputs (the scatter is the only sequential tail of
-// the sort, so it is worth spreading across the same workers).
-func applyPermutation[E any](data, input []E, places []int, workers int) {
-	const chunk = 16 * 1024
-	n := len(input)
-	if n < 2*chunk || workers < 2 {
-		for i, r := range places {
-			data[r-1] = input[i]
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				data[places[i]-1] = input[i]
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	return sortOn(context.Background(), p, data, nil, less)
 }
 
 // SimResult reports one simulated sort.

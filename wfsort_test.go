@@ -241,9 +241,7 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-func TestSortLargeUsesParallelPermute(t *testing.T) {
-	// Exercise the chunked scatter path (n above the parallel-permute
-	// threshold) and an off-boundary size.
+func TestSortLargeInputs(t *testing.T) {
 	for _, n := range []int{1 << 15, 1<<15 + 7} {
 		data := make([]int, n)
 		rng := rand.New(rand.NewSource(int64(n)))
