@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test race bench benchgate benchgate-baseline serve-gate serve-gate-baseline pipeline-gate pipeline-gate-baseline capacity-gate capacity-gate-baseline qos-gate qos-gate-baseline trace-gate cluster-gate cluster-gate-baseline wire-gate wire-gate-baseline loadgen openloop sortd sortc soak chaos chaos-quick perfbench-test experiments experiments-quick stress obs fmt vet lint cover
+.PHONY: all test race bench benchgate benchgate-baseline serve-gate serve-gate-baseline capacity-gate capacity-gate-baseline qos-gate qos-gate-baseline trace-gate cluster-gate cluster-gate-baseline wire-gate wire-gate-baseline loadgen openloop sortd sortc soak chaos chaos-quick perfbench-test experiments experiments-quick stress obs fmt vet lint cover
 
 all: vet test
 
@@ -30,15 +30,6 @@ serve-gate:
 serve-gate-baseline:
 	go run ./cmd/benchgate -serve -write
 
-# Gate phase-level pipelining against BENCH_pipeline.json: one resident
-# pipelined crew vs one serial team on the same mixed-size job stream
-# (pipelined/serial geomean must stay >= 1.0x).
-pipeline-gate:
-	go run ./cmd/benchgate -pipeline
-
-pipeline-gate-baseline:
-	go run ./cmd/benchgate -pipeline -write
-
 # Gate serving capacity against BENCH_capacity.json: an open-loop
 # loadgen sweep finds the offered-load knee where p99 crosses the
 # 50 ms SLO; the knee must stay within tolerance of the baseline.
@@ -62,7 +53,7 @@ qos-gate-baseline:
 # flight-recorder tests, then measure instrumented-vs-TraceOff serving
 # throughput (geomean must stay within tolerance of 1.0x).
 trace-gate:
-	go test -race -count=1 -run 'TestTrace|TestRejectionSpans|TestBurn|TestMetricsProm|TestStageHist|TestSpanLogLapped|TestFlightRecorder|TestExemplars|TestPerfettoAddSpans|TestPipelineRunTiming|TestRunStamps|TestHandlerTargetStages' ./internal/server ./internal/obs ./internal/native ./internal/loadgen
+	go test -race -count=1 -run 'TestTrace|TestRejectionSpans|TestBurn|TestMetricsProm|TestStageHist|TestSpanLogLapped|TestFlightRecorder|TestExemplars|TestPerfettoAddSpans|TestTeamRunTiming|TestRunStamps|TestHandlerTargetStages' ./internal/server ./internal/obs ./internal/native ./internal/loadgen
 	go run ./cmd/benchgate -quick -observed -runs 1
 
 # Gate the distributed tier against BENCH_cluster.json: a token-bucket

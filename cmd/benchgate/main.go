@@ -11,10 +11,7 @@
 //
 // With -serve the gate targets the serving layer instead (pooled vs
 // fresh sort throughput and sortd request throughput, baseline
-// BENCH_serve.json — see serve.go). With -pipeline it targets the
-// phase-pipelined crew (pipelined vs serial-team throughput on queued
-// mixed-size sorts, baseline BENCH_pipeline.json — see pipeline.go).
-// With -capacity it sweeps open-loop load for the SLO knee (baseline
+// BENCH_serve.json — see serve.go). With -capacity it sweeps open-loop load for the SLO knee (baseline
 // BENCH_capacity.json — see capacity.go), and with -qos it replays a
 // two-class overload FIFO vs QoS-scheduled and gates the priority
 // plane's latency win and starvation floor (baseline BENCH_qos.json —
@@ -148,7 +145,6 @@ func run(w io.Writer, args []string) error {
 	runs := fs.Int("runs", 3, "timed runs per cell (best is kept)")
 	tol := fs.Float64("tolerance", 0.10, "allowed fractional throughput regression")
 	serve := fs.Bool("serve", false, "gate the serving layer (pooled vs fresh, sortd req/s) instead of the native matrix")
-	pipeline := fs.Bool("pipeline", false, "gate phase-pipelined vs serial-team throughput on queued sorts instead of the native matrix")
 	capacity := fs.Bool("capacity", false, "gate the serving stack's capacity-curve knee (open-loop loadgen sweep vs an SLO) instead of the native matrix")
 	qosMode := fs.Bool("qos", false, "gate the QoS plane (priority scheduling vs FIFO on a two-class overload) instead of the native matrix")
 	clusterMode := fs.Bool("cluster", false, "gate the distributed sort tier (coordinator scaling over 1/2/3 backends + kill leg) instead of the native matrix")
@@ -157,25 +153,19 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 	modes := 0
-	for _, m := range []bool{*serve, *pipeline, *capacity, *qosMode, *clusterMode, *wireMode} {
+	for _, m := range []bool{*serve, *capacity, *qosMode, *clusterMode, *wireMode} {
 		if m {
 			modes++
 		}
 	}
 	if modes > 1 {
-		return fmt.Errorf("-serve, -pipeline, -capacity, -qos, -cluster and -wire are mutually exclusive")
+		return fmt.Errorf("-serve, -capacity, -qos, -cluster and -wire are mutually exclusive")
 	}
 	if *serve {
 		if *baseline == "BENCH_native.json" {
 			*baseline = "BENCH_serve.json"
 		}
 		return runServe(w, *baseline, *out, *write, *quick, *runs, *tol)
-	}
-	if *pipeline {
-		if *baseline == "BENCH_native.json" {
-			*baseline = "BENCH_pipeline.json"
-		}
-		return runPipeline(w, *baseline, *out, *write, *quick, *runs, *tol)
 	}
 	if *capacity {
 		if *baseline == "BENCH_native.json" {

@@ -242,18 +242,18 @@ func measureQoS(w io.Writer, quick bool) (*QoSReport, error) {
 	return rep, nil
 }
 
-// replayQoSTrace boots a fresh in-process server — batching off so
-// every request is its own scheduling decision, pipeline on so the
-// bounded queue (where the policy acts) is the bottleneck — replays
-// the trace against it, and aggregates the per-class report. cfg nil
-// is the FIFO control.
+// replayQoSTrace boots a fresh in-process server with batching off,
+// so every request is its own scheduling decision, replays the trace
+// against it, and aggregates the per-class report. cfg nil is the FIFO
+// control: every request sorts at once on a resident team of its own.
+// With cfg set, the pool's one-slot admission queue, where the policy
+// acts, is the bottleneck.
 func replayQoSTrace(trace *loadgen.Trace, cfg *qos.Config) (*QoSRun, error) {
 	srv, err := server.New(server.Config{
-		PipelineDepth: 64,
-		MaxInFlight:   256,
-		BatchMaxKeys:  -1,
-		Timeout:       5 * time.Second,
-		QoS:           cfg,
+		MaxInFlight:  256,
+		BatchMaxKeys: -1,
+		Timeout:      5 * time.Second,
+		QoS:          cfg,
 	})
 	if err != nil {
 		return nil, err

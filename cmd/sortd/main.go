@@ -51,7 +51,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 		batchWindow = fs.Duration("batch-window", 500*time.Microsecond, "how long a batch waits for company")
 		timeout     = fs.Duration("timeout", 5*time.Second, "per-request deadline")
 		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "graceful drain limit on shutdown")
-		pipeline    = fs.Int("pipeline", 0, "phase-pipeline queued sorts through one crew with this queue depth (0 = serial teams)")
 		churn       = fs.Int("churn", 0, "kill+revive every non-zero worker this many times per sort")
 		crashFrac   = fs.Float64("crash-frac", 0, "fail-stop this fraction of workers per sort (chaos mode)")
 		qosPath     = fs.String("qos", "", "QoS config JSON: per-class token buckets, priorities, deadlines (see internal/qos)")
@@ -96,17 +95,16 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	}
 
 	srv, err := server.New(server.Config{
-		Workers:       *workers,
-		Options:       opts,
-		PipelineDepth: *pipeline,
-		MaxInFlight:   *maxInflight,
-		MaxKeys:       *maxKeys,
-		BatchMaxKeys:  *batchKeys,
-		BatchWindow:   *batchWindow,
-		Timeout:       *timeout,
-		QoS:           qosCfg,
-		SLO:           *slo,
-		FlightDir:     *flightDir,
+		Workers:      *workers,
+		Options:      opts,
+		MaxInFlight:  *maxInflight,
+		MaxKeys:      *maxKeys,
+		BatchMaxKeys: *batchKeys,
+		BatchWindow:  *batchWindow,
+		Timeout:      *timeout,
+		QoS:          qosCfg,
+		SLO:          *slo,
+		FlightDir:    *flightDir,
 	})
 	if err != nil {
 		return err

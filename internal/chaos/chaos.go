@@ -325,100 +325,92 @@ func RunNative(spec Spec) (res Result, err error) {
 	return res, nil
 }
 
-// PipelinedSpec scales the pipelined chaos battery: Jobs sorts of N
-// keys, laid out for Layout, stream through one phase-pipelined crew of
-// P workers with queue depth Depth, and every even-numbered job is
-// struck by a seeded crash quorum killing roughly Frac of the workers
-// (pid 0 spared, no revival).
-type PipelinedSpec struct {
-	N, P, Depth, Jobs int
-	Layout            layout.Layout
-	Seed              uint64
-	Frac              float64
+// ResidentSpec scales the resident-team chaos battery: Jobs sorts of
+// N keys, laid out for Layout, run one after another on one resident
+// team of P workers, and every even-numbered job is struck by a seeded
+// crash quorum killing roughly Frac of the workers (pid 0 spared, no
+// revival) within their first residentKillWindow operations.
+type ResidentSpec struct {
+	N, P, Jobs int
+	Layout     layout.Layout
+	Seed       uint64
+	Frac       float64
 }
 
-// RunPipelined is the serving-regime counterpart of RunNative: it
-// certifies wait-freedom across job boundaries, not just within one
-// sort. All jobs are submitted up front so they genuinely overlap, then
-// each is certified independently — sorted output, per-processor op
-// ceiling (PipeRun.OpsPerProc against Bound), and every completion
-// predicate of the job's phase graph satisfied. The struck jobs prove
-// kills stay job-local (each job owns its kill flags); the faultless
-// jobs between them prove the crew is back at full strength without a
-// goroutine ever respawning; and the stream completing at all proves
-// the admission gate does not deadlock on permanently dead workers.
-func RunPipelined(spec PipelinedSpec) ([]Result, error) {
-	if spec.Depth < 1 {
-		spec.Depth = 1
-	}
+// residentKillWindow bounds the op ordinals of the resident battery's
+// kills. A worker that starts after its peers finished a kernel sort
+// executes only about ten operations, reading done marks on its way
+// out, so a kill drawn from a window of N ordinals often never lands
+// on a loaded host and the struck job certifies nothing; every worker
+// reaches this many.
+const residentKillWindow = 8
+
+// RunResident is the serving-regime counterpart of RunNative: it
+// certifies wait-freedom across job boundaries on the resident team
+// that runs every pooled sort, not just within one sort. Each job is
+// certified on its own: sorted output, every completion predicate of
+// its phase graph satisfied, and the per-processor op ceiling
+// (TeamRun.OpsPerProc against Bound). The struck jobs prove the
+// survivors finish without the dead; the faultless jobs between them
+// prove the team is back at full strength without a goroutine ever
+// respawning, because a kill unwinds only the graph, not the worker.
+func RunResident(spec ResidentSpec) ([]Result, error) {
 	if spec.Jobs < 1 {
 		spec.Jobs = 1
 	}
-	pl := native.NewPipeline(spec.P, spec.Depth, true)
-	defer pl.Close()
+	team := native.NewTeam(spec.P, true)
+	defer team.Close()
 
-	type flight struct {
-		run  *native.PipeRun
-		s    layout.Runner
-		mem  []model.Word
-		keys []int
-	}
-	flights := make([]flight, 0, spec.Jobs)
+	results := make([]Result, 0, spec.Jobs)
 	for j := 0; j < spec.Jobs; j++ {
 		keys := randKeys(spec.N, spec.Seed+uint64(j)*0x9e37)
 		s, a, err := layout.New(spec.Layout, layout.Randomized, spec.N, spec.P)
 		if err != nil {
-			return nil, err
+			return results, err
 		}
 		mem := make([]model.Word, a.Size())
 		s.Seed(mem)
-		job := native.PipeJob{
+		job := native.TeamJob{
 			Graph: s.Graph(), Mem: mem, Less: lessFor(keys),
 			Seed: spec.Seed + uint64(j),
 		}
 		if j%2 == 0 && spec.Frac > 0 {
-			crashes := CrashQuorum(spec.P, spec.Frac, int64(spec.N), spec.Seed+uint64(13*j+7))
+			crashes := CrashQuorum(spec.P, spec.Frac, residentKillWindow, spec.Seed+uint64(13*j+7))
 			if len(crashes) > 0 {
 				job.Adversary = native.NewPlan().AddCrashes(crashes)
 			}
 		}
-		flights = append(flights, flight{run: pl.Submit(job), s: s, mem: mem, keys: keys})
-	}
-
-	results := make([]Result, 0, spec.Jobs)
-	for j, f := range flights {
 		res := Result{
-			Policy: "pipelined-crash-half", Variant: "randomized", Layout: spec.Layout.String(),
+			Policy: "resident-crash-half", Variant: "randomized", Layout: spec.Layout.String(),
 			N: spec.N, P: spec.P, Seed: spec.Seed + uint64(j),
 		}
-		met, werr := f.run.Wait()
+		run := team.Start(job)
+		met, werr := run.Wait()
 		if werr != nil {
 			res.Error = werr.Error()
 			results = append(results, res)
 			return results, werr
 		}
-		res.ElapsedMS = float64(f.run.Elapsed.Microseconds()) / 1000
+		res.ElapsedMS = float64(run.Elapsed.Microseconds()) / 1000
 		res.Killed = met.Killed
 		res.Respawns = met.Respawns
 		res.Stalls = met.InjectedStalls
 		res.Survivors = spec.P - met.Killed + met.Respawns
-		res.Sized, res.Placed = f.s.Progress(f.mem)
+		res.Sized, res.Placed = s.Progress(mem)
 
-		out, perr := outputOf(f.keys, f.s.Places(f.mem))
-		res.Sorted = perr == nil && equalInts(out, SortedRef(f.keys))
+		out, perr := outputOf(keys, s.Places(mem))
+		res.Sorted = perr == nil && equalInts(out, SortedRef(keys))
 		if perr != nil {
 			res.Error = perr.Error()
 		}
-		if name := f.s.Graph().FirstUndone(f.mem); name != "" && res.Error == "" {
+		if name := s.Graph().FirstUndone(mem); name != "" && res.Error == "" {
 			res.Error = fmt.Sprintf("phase %q predicate unsatisfied after completion", name)
 			res.Sorted = false
 		}
 
 		res.Bound = Bound(spec.N)
-		for _, ops := range f.run.OpsPerProc() {
-			if ops > res.MaxOps {
-				res.MaxOps = ops
-			}
+		for _, ops := range run.OpsPerProc() {
+			res.MaxOps = max(res.MaxOps, ops)
 		}
 		res.Certified = res.MaxOps <= res.Bound
 		results = append(results, res)
@@ -623,26 +615,26 @@ func Sweep(o SweepOptions) (*Report, error) {
 			rep.Differential = append(rep.Differential, label+": identical output on pram and all native layouts")
 		}
 	}
-	// Phase-pipelined battery per P and layout: crash-half striking
-	// alternate jobs of an overlapped stream on one resident crew.
+	// Resident-team battery per P and layout: crash-half striking
+	// alternate jobs of a stream of sorts on one resident team.
 	jobs := 4
 	if o.Quick {
 		jobs = 3
 	}
 	for _, p := range o.Ps {
 		for _, l := range layout.All() {
-			prs, err := RunPipelined(PipelinedSpec{
-				N: o.N, P: p, Depth: 2, Jobs: jobs, Layout: l,
+			rrs, err := RunResident(ResidentSpec{
+				N: o.N, P: p, Jobs: jobs, Layout: l,
 				Seed: o.Seed + uint64(p)*101, Frac: 0.5,
 			})
 			if err != nil {
-				return rep, fmt.Errorf("pipelined p=%d layout=%v: %w", p, l, err)
+				return rep, fmt.Errorf("resident p=%d layout=%v: %w", p, l, err)
 			}
-			for j, res := range prs {
+			for j, res := range rrs {
 				rep.Runs = append(rep.Runs, res)
 				if !res.OK() {
 					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"pipelined p=%d layout=%v job=%d: sorted=%v certified=%v (max ops %d / bound %d) %s",
+						"resident p=%d layout=%v job=%d: sorted=%v certified=%v (max ops %d / bound %d) %s",
 						p, l, j, res.Sorted, res.Certified, res.MaxOps, res.Bound, res.Error))
 				}
 			}

@@ -58,12 +58,12 @@ func TestMassacreCertifies(t *testing.T) {
 	}
 }
 
-// TestRunPipelinedCrashHalf is the pipelined acceptance battery: a
-// stream of overlapped jobs on one crew, half the workers crashed in
+// TestRunResidentCrashHalf is the resident-team acceptance battery: a
+// stream of sorts on one resident team, half the workers crashed in
 // alternate jobs, every job sorted and certified.
-func TestRunPipelinedCrashHalf(t *testing.T) {
-	results, err := RunPipelined(PipelinedSpec{
-		N: 1024, P: 4, Depth: 2, Jobs: 5, Seed: 21, Frac: 0.5,
+func TestRunResidentCrashHalf(t *testing.T) {
+	results, err := RunResident(ResidentSpec{
+		N: 1024, P: 4, Jobs: 5, Seed: 21, Frac: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSweepQuick(t *testing.T) {
 	if !rep.OK {
 		t.Fatalf("sweep failures:\n%s", strings.Join(rep.Failures, "\n"))
 	}
-	// policy x P x layout cells, plus the pipelined battery's 4 jobs per
+	// policy x P x layout cells, plus the resident battery's 4 jobs per
 	// P and layout.
 	wantRuns := (len(Policies()) + 4) * 2 * len(layout.All())
 	if len(rep.Runs) != wantRuns {

@@ -193,8 +193,8 @@ func (s *Sorter) Sort(p model.Proc) {
 }
 
 // Graph returns the sorter's declared phase graph, or nil for bare
-// tables. Runtimes that schedule at phase granularity (native.Pipeline)
-// and the certification harness introspect it.
+// tables. The resident team runs it with per-phase notifications, and
+// the certification harness introspects it.
 func (s *Sorter) Graph() *engine.Graph { return s.graph }
 
 // buildGraph declares the §2 sort as an engine phase graph. The phase

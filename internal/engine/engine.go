@@ -22,11 +22,9 @@
 //   - host-side introspection: each phase can carry a completion
 //     predicate over the arena (what "this phase's global work is
 //     done" means in memory);
-//   - phase-level pipelining: a runtime that wants to overlap queued
-//     jobs can run a graph with a completion notification per phase
-//     (RunNotify) and admit the next job as soon as every worker has
-//     advanced past the first phase of the current one — see
-//     native.Pipeline.
+//   - per-phase timing: a runtime can run a graph with a completion
+//     notification per phase (RunNotify) and stamp when each worker
+//     finished each phase — see native.TeamRun.Timing.
 //
 // A Graph is immutable after construction and stateless between runs:
 // all mutable sort state lives in the runtime's shared memory, and any
@@ -130,12 +128,12 @@ func (g *Graph) Run(p model.Proc) { g.RunNotify(p, nil) }
 
 // RunNotify is Run with a phase-completion hook: notify(k) fires after
 // the k-th worker phase's body returns (k counts worker phases from 0,
-// skipping host-only ones). The hook is what lets native.Pipeline keep
-// per-phase epoch counters without the sorters knowing pipelining
+// skipping host-only ones). The hook is what lets native.Team stamp
+// per-phase completion times without the sorters knowing timing
 // exists. A killed processor unwinds out of the body without the
 // notification; its next incarnation re-enters from phase 0, so within
 // one incarnation the notified indices are strictly increasing from 0 —
-// the invariant the pipeline's monotone progress words rely on.
+// the invariant the team's last-completion stamps rely on.
 func (g *Graph) RunNotify(p model.Proc, notify func(k int)) {
 	var st any
 	if g.newState != nil {

@@ -224,9 +224,9 @@ func (s *Sorter) Sort(p model.Proc) {
 	s.graph.Run(p)
 }
 
-// Graph returns the sorter's declared phase graph. Runtimes that
-// schedule at phase granularity (native.Pipeline) and the certification
-// harness introspect it.
+// Graph returns the sorter's declared phase graph. The resident team
+// runs it with per-phase notifications, and the certification harness
+// introspects it.
 func (s *Sorter) Graph() *engine.Graph { return s.graph }
 
 // lcState carries one execution's per-processor locals between phases:

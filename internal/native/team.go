@@ -6,13 +6,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wfsort/internal/engine"
 	"wfsort/internal/model"
 	"wfsort/internal/obs"
 	"wfsort/internal/xrand"
 )
 
 // Team is a resident crew of P worker goroutines that executes
-// successive programs without respawning its workers: the serving
+// successive phase graphs without respawning its workers: the serving
 // layer's counterpart to the single-use Runtime. Each job brings its
 // own memory, ordering and (optionally) adversary/observer; between
 // jobs the workers are parked on their job channels, so steady-state
@@ -39,10 +40,11 @@ type Team struct {
 	closed bool
 }
 
-// TeamJob describes one program execution on a team.
+// TeamJob describes one phase-graph execution on a team.
 type TeamJob struct {
-	// Prog is the program every worker runs.
-	Prog model.Program
+	// Graph is the phase graph every worker runs (core and lowcont
+	// sorters expose theirs via Graph()).
+	Graph *engine.Graph
 	// Mem is the job's shared memory (the pooled context's arena).
 	Mem []Word
 	// Less is the input order consulted by Proc.Less; nil compares
@@ -56,13 +58,38 @@ type TeamJob struct {
 	Adversary model.Adversary
 	// Observer, when non-nil, records this job (one Observer per job).
 	Observer *obs.Observer
+	// Traced opts the job into per-phase timing (TeamRun.Timing): each
+	// worker stamps its own slot as it completes a phase, so recording
+	// adds no wait point. Untraced jobs stamp nothing.
+	Traced bool
 }
 
-// teamJob is a TeamJob in flight.
+// teamJob is a TeamJob in flight: the job's RNG root, completion
+// group, abort latch, fault counters and first-panic record.
 type teamJob struct {
 	TeamJob
-	jobCore
+	root     *xrand.Rand
+	wg       sync.WaitGroup
+	aborted  atomic.Bool
+	killed   atomic.Int64
+	respawns atomic.Int64
+
+	panicMu  sync.Mutex
+	panicked error
+
+	// phaseEnd, on traced jobs, holds in slot pid*phases+k the instant,
+	// in nanoseconds since epoch, worker pid completed worker phase k;
+	// only worker pid writes its slots. A respawned incarnation re-notifies from phase
+	// 0 and overwrites them with later instants, which is the
+	// last-completion meaning Timing wants. nil when untraced.
+	phaseEnd []atomic.Int64
 }
+
+// epoch is the origin of the phase stamps. A process-wide base keeps a
+// start instant out of teamJob: with one stored there, 4K-key keyed
+// sorts on a 2-vCPU host measured 5-8% slower at equal operation
+// counts, a memory-layout effect rather than extra work.
+var epoch = time.Now()
 
 // TeamRun is a job in flight, returned by Start.
 type TeamRun struct {
@@ -109,11 +136,17 @@ func (t *Team) P() int { return t.p }
 // The caller must serialize jobs: Start panics if one is already in
 // flight or the team is closed.
 func (t *Team) Start(job TeamJob) *TeamRun {
+	if job.Graph == nil {
+		panic("native: TeamJob.Graph must be set")
+	}
 	if job.Less == nil {
 		job.Less = func(i, j int) bool { return i < j }
 	}
 	jb := &teamJob{TeamJob: job}
 	jb.root = xrand.New(job.Seed)
+	if job.Traced {
+		jb.phaseEnd = make([]atomic.Int64, t.p*job.Graph.NumWorkerPhases())
+	}
 	jb.wg.Add(t.p)
 
 	t.mu.Lock()
@@ -213,6 +246,63 @@ func (r *TeamRun) Abort() {
 // Aborted reports whether Abort was called on this run.
 func (r *TeamRun) Aborted() bool { return r.jb.aborted.Load() }
 
+// OpsPerProc returns the shared-memory operations each worker executed
+// on this job, summed across incarnations: the per-processor quantity
+// the chaos certifier checks against its op ceiling. Valid after Wait
+// and before the team's next Start, on a team that counts ops.
+func (r *TeamRun) OpsPerProc() []int64 {
+	out := make([]int64, r.t.p)
+	for i := range out {
+		out[i] = atomic.LoadInt64(&r.t.st.ops[i].n)
+	}
+	return out
+}
+
+// PhaseDur is one worker phase's team-wide duration in a JobTiming.
+type PhaseDur struct {
+	Name  string
+	DurNs int64
+}
+
+// JobTiming is a traced job's run attribution, valid after Wait.
+type JobTiming struct {
+	// RunNs is the job's wall time, Start to the last worker done.
+	RunNs int64
+	// Phases attributes RunNs across the graph's worker phases: each
+	// entry is the gap between successive team-wide phase completions
+	// (the latest worker's stamp), so the entries sum to at most RunNs.
+	Phases []PhaseDur
+}
+
+// Timing returns the job's per-phase attribution. Valid after Wait, on
+// jobs started with Traced set; untraced jobs return the zero value.
+func (r *TeamRun) Timing() JobTiming {
+	jb := r.jb
+	if jb.phaseEnd == nil {
+		return JobTiming{}
+	}
+	t := JobTiming{RunNs: r.Elapsed.Nanoseconds()}
+	names := jb.Graph.WorkerPhaseNames()
+	prev := r.start.Sub(epoch).Nanoseconds()
+	for k, name := range names {
+		// A phase nobody stamped (every worker killed before finishing
+		// it) reports zero duration.
+		var end int64
+		for pid := 0; pid < r.t.p; pid++ {
+			if v := jb.phaseEnd[pid*len(names)+k].Load(); v > end {
+				end = v
+			}
+		}
+		dur := int64(0)
+		if end > prev {
+			dur = end - prev
+			prev = end
+		}
+		t.Phases = append(t.Phases, PhaseDur{Name: name, DurNs: dur})
+	}
+	return t
+}
+
 // Kill marks worker pid of the current job for termination, exactly as
 // Runtime.Kill does mid-run.
 func (t *Team) Kill(pid int) { t.st.kill[pid].Store(true) }
@@ -247,85 +337,70 @@ func (t *Team) worker(pid int, ch <-chan *teamJob) {
 	}
 }
 
-// runJob executes one job on worker pid through the shared incarnation
-// loop, against the team's (job-swapped) run state.
+// runJob executes one job on worker pid, re-entering the graph after
+// each landed kill the adversary revives, with the pid's op ordinal
+// carried across incarnations. The worker's own goroutine manages its
+// pid's deaths, so no lock is needed: incarnations of a pid are
+// serialized by construction.
 func (t *Team) runJob(pid int, jb *teamJob) {
-	jb.runIncarnations(&t.st, pid, jb.Prog, jb.Adversary, jb.Observer)
-}
-
-// jobCore is the per-job fault and incarnation machinery shared by the
-// serial Team and the pipelined crew (pipeline.go): the job's RNG root,
-// completion group, abort latch, fault counters and first-panic record.
-type jobCore struct {
-	root     *xrand.Rand
-	wg       sync.WaitGroup
-	aborted  atomic.Bool
-	killed   atomic.Int64
-	respawns atomic.Int64
-
-	panicMu  sync.Mutex
-	panicked error
-}
-
-// runIncarnations executes prog for worker pid against st, re-entering
-// the program after each landed kill the adversary revives, with the
-// pid's op ordinal carried across incarnations. The worker's own
-// goroutine manages its pid's deaths, so no lock is needed:
-// incarnations of a pid are serialized by construction. It reports
-// whether the worker ran the program to normal completion — false when
-// it died without revival or panicked — which is the fact the
-// pipelined crew uses to mark a job globally done.
-func (jc *jobCore) runIncarnations(st *runState, pid int, prog model.Program, adversary model.Adversary, ob *obs.Observer) bool {
+	st := &t.st
+	var notify func(k int)
+	if jb.phaseEnd != nil {
+		n := jb.Graph.NumWorkerPhases()
+		notify = func(k int) {
+			jb.phaseEnd[pid*n+k].Store(time.Since(epoch).Nanoseconds())
+		}
+	}
 	var startOps int64
 	deaths := 0
 	for {
 		pr := proc{
 			st:  st,
 			id:  pid,
-			rng: jc.root.Fork(uint64(pid) | uint64(deaths)<<32),
+			rng: jb.root.Fork(uint64(pid) | uint64(deaths)<<32),
 			n:   startOps,
 		}
-		if ob != nil {
-			pr.ob = ob.StartIncarnation(pid, startOps)
+		if jb.Observer != nil {
+			pr.ob = jb.Observer.StartIncarnation(pid, startOps)
 		}
-		rec := runProg(&pr, prog)
+		rec := runGraph(&pr, jb.Graph, notify)
 		if pr.ob != nil {
 			pr.ob.End(pr.n)
 		}
 		if rec == nil {
-			return true
+			return
 		}
 		if _, wasKill := rec.(model.Killed); !wasKill {
-			jc.panicMu.Lock()
-			if jc.panicked == nil {
-				jc.panicked = fmt.Errorf("native: processor %d panicked: %v", pid, rec)
+			jb.panicMu.Lock()
+			if jb.panicked == nil {
+				jb.panicked = fmt.Errorf("native: processor %d panicked: %v", pid, rec)
 			}
-			jc.panicMu.Unlock()
-			return false
+			jb.panicMu.Unlock()
+			return
 		}
-		jc.killed.Add(1)
+		jb.killed.Add(1)
 		deaths++
-		rs, ok := adversary.(Respawner)
+		rs, ok := jb.Adversary.(Respawner)
 		if !ok || !rs.Respawn(pid, deaths) {
-			return false
+			return
 		}
 		st.kill[pid].Store(false)
 		// An Abort between the kill landing and the flag clearing above
 		// must still win: its aborted store precedes its kill stores, so
 		// either our clear lost the race (the next op dies and the check
 		// below ends the loop then) or we observe aborted here.
-		if jc.aborted.Load() {
-			return false
+		if jb.aborted.Load() {
+			return
 		}
-		jc.respawns.Add(1)
+		jb.respawns.Add(1)
 		startOps = pr.n
 	}
 }
 
-// runProg runs the program to completion and returns the recovered
+// runGraph runs the graph to completion and returns the recovered
 // panic value, if any (model.Killed for a landed kill).
-func runProg(pr *proc, prog model.Program) (rec any) {
+func runGraph(pr *proc, g *engine.Graph, notify func(k int)) (rec any) {
 	defer func() { rec = recover() }()
-	prog(pr)
+	g.RunNotify(pr, notify)
 	return nil
 }

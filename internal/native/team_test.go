@@ -24,7 +24,7 @@ func teamSortJob(keys []int, seed uint64) (TeamJob, *core.Sorter, []Word) {
 		}
 		return i < j
 	}
-	return TeamJob{Prog: s.Program(), Mem: mem, Less: less, Seed: seed}, s, mem
+	return TeamJob{Graph: s.Graph(), Mem: mem, Less: less, Seed: seed}, s, mem
 }
 
 func checkRanks(t *testing.T, keys []int, s *core.Sorter, mem []Word) {

@@ -70,7 +70,7 @@ type ClassCounters struct {
 // ObserveLatency records one request latency in nanoseconds.
 func (c *ClassCounters) ObserveLatency(ns int64) { c.latency.Observe(ns) }
 
-// ObserveQueueWait records one pipeline queue wait in nanoseconds.
+// ObserveQueueWait records one admission-queue wait in nanoseconds.
 func (c *ClassCounters) ObserveQueueWait(ns int64) { c.qwait.Observe(ns) }
 
 // Histogram snapshots the latency record.

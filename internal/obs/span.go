@@ -6,7 +6,7 @@ import (
 )
 
 // Stage is one named segment of a request's lifecycle — bucket
-// admission, semaphore wait, queue wait, batch assembly, crew
+// admission, semaphore wait, queue wait, batch assembly, team
 // execution, encode. A span's stages partition its wall duration, so
 // summing them recovers (to scheduling slop) the request's total; the
 // trace tests pin the two within 5%.
@@ -40,9 +40,6 @@ type Span struct {
 	// N is the element count sorted (for batches, the merged total; 0
 	// on requests rejected before their body was read).
 	N int `json:"n"`
-	// Capacity is the pooled context capacity that served it (0 when
-	// the fresh path ran).
-	Capacity int `json:"capacity,omitempty"`
 	// Batched is how many client requests the span carried (1 for an
 	// unbatched sort).
 	Batched int `json:"batched,omitempty"`
@@ -52,9 +49,9 @@ type Span struct {
 	// Stages is the request's stage-latency attribution, in lifecycle
 	// order; their sum approximates Duration (see Stage).
 	Stages []Stage `json:"stages,omitempty"`
-	// Phases is the crew-execution phase aggregate (the engine's phase
+	// Phases is the team-execution phase aggregate (the engine's phase
 	// labels), a breakdown *of* the "sort" stage — not part of the
-	// Stages partition. Pipelined crews only.
+	// Stages partition.
 	Phases []Stage `json:"phases,omitempty"`
 }
 

@@ -34,9 +34,10 @@ type Runner interface {
 	// PlacesInto reads the final 1-based ranks of elements 1..len(dst)
 	// out of memory after a completed sort.
 	PlacesInto(mem []model.Word, dst []int)
-	// Graph returns the sorter's phase graph — the same program as
-	// Program, in the declarative form the pipelined crew needs for
-	// per-phase progress notifications and host-side introspection.
+	// Graph returns the sorter's phase graph: the same program as
+	// Program, in the declarative form that native.Team runs (with a
+	// completion notification per phase, for timing) and host-side
+	// introspection reads.
 	Graph() *engine.Graph
 }
 

@@ -1,6 +1,6 @@
 // Package qos is the serving stack's quality-of-service plane:
 // token-bucket admission control per traffic class, a priority/
-// deadline-aware queue policy for the native Pipeline, and a
+// deadline-aware queue policy for a pool's admission queue, and a
 // deterministic replay simulator that certifies scheduling decisions
 // byte-for-byte.
 //

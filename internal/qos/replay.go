@@ -27,7 +27,7 @@ type Event struct {
 }
 
 // Replay runs a loadgen trace through the admission buckets and the
-// queue policy against a simulated single-crew server whose service
+// queue policy against a simulated one-slot server whose service
 // time is baseNs + perKeyNs·n, and returns every decision in order.
 //
 // The simulation shares the production decision code — the same
@@ -117,7 +117,7 @@ func Replay(t *loadgen.Trace, cfg *Config, baseNs, perKeyNs int64) ([]Event, err
 			continue
 		}
 		now = dispatchAt
-		// Shed pass, exactly as the pipeline dispatcher runs it: every
+		// Shed pass, exactly as the admission queue runs it: every
 		// doomed job leaves the queue before Pick sees it.
 		kept := queue[:0]
 		for _, v := range queue {

@@ -5,9 +5,10 @@ import "wfsort/internal/native"
 // Observer receives the scheduler's per-decision events. The serving
 // layer adapts it onto the obs class counters; replay and tests may
 // pass nil (no events) or their own recorder. Calls arrive from the
-// pipeline's single dispatcher goroutine, in decision order.
+// admission queue under its lock, one decision at a time, in decision
+// order.
 type Observer interface {
-	// JobDispatched fires when a job is picked for the crew, with its
+	// JobDispatched fires when a job is picked to run, with its
 	// queue wait.
 	JobDispatched(class string, waitNs int64)
 	// JobAged fires when the picked job won only through aging — a
@@ -18,7 +19,8 @@ type Observer interface {
 	JobDeadlineDropped(class string)
 }
 
-// Sched is the priority/deadline queue policy for native.Pipeline:
+// Sched is the priority/deadline queue policy for a pool's admission
+// queue (wfsort.WithQueuePolicy):
 //
 //   - Strict priority tiers with aging: a job's effective tier is
 //     Priority − waited/aging, unclamped, so every queued job
@@ -32,7 +34,7 @@ type Observer interface {
 //     only an already-expired deadline sheds, and a boundary job
 //     (exactly floor remaining) is dispatched, never dropped.
 //
-// All decisions are pure integer functions of the pipeline clock, so
+// All decisions are pure integer functions of the queue clock, so
 // a replayed schedule is byte-identical — see Replay.
 type Sched struct {
 	agingNs int64
@@ -50,7 +52,7 @@ var _ native.QueuePolicy = (*Sched)(nil)
 
 // Shed implements native.QueuePolicy: drop iff the deadline provably
 // cannot be met (remaining < floor). Jobs without deadlines are never
-// shed. The pipeline removes a shed job immediately, so the observer
+// shed. The queue removes a shed job immediately, so the observer
 // sees exactly one JobDeadlineDropped per dropped job.
 func (s *Sched) Shed(now int64, j native.JobView) bool {
 	if j.DeadlineNs == 0 || satSub(j.DeadlineNs, now) >= s.floorNs {

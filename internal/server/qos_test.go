@@ -188,8 +188,8 @@ func TestQoSSemBackstopRetryAfter(t *testing.T) {
 // TestQoSDeadlineShedE2E drives the queue-shed path over HTTP: a class
 // with a 1ms deadline submits behind a wall of higher-priority bulk
 // work, so the scheduler drops it from the queue — 504, the typed shed
-// message, a DeadlineDrop tick, and no crew slot spent. The bulk work
-// itself must all complete, proving the shed cost the crew nothing.
+// message, a DeadlineDrop tick, and no team run for it. The bulk work
+// itself must all complete, proving the shed cost the bulk nothing.
 func TestQoSDeadlineShedE2E(t *testing.T) {
 	bulkN := 150_000
 	floods := 8
@@ -197,10 +197,9 @@ func TestQoSDeadlineShedE2E(t *testing.T) {
 		bulkN = 60_000
 	}
 	s, ts := newTestServer(t, Config{
-		PipelineDepth: 32,
-		BatchMaxKeys:  -1,
-		MaxInFlight:   64,
-		Timeout:       60 * time.Second,
+		BatchMaxKeys: -1,
+		MaxInFlight:  64,
+		Timeout:      60 * time.Second,
 		QoS: &qos.Config{Classes: []qos.ClassQoS{
 			{Name: "bulk", Rate: 100000, Burst: 1000, Priority: 0},
 			{Name: "doomed", Rate: 100000, Burst: 1000, Priority: 8, DeadlineMs: 1},
@@ -209,9 +208,9 @@ func TestQoSDeadlineShedE2E(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	bulk := randKeys(rng, bulkN)
 
-	// A closed-loop flood keeps the crew saturated and the queue busy;
-	// every bulk submit is also a fresh dispatcher round, so the doomed
-	// job's expiry is noticed long before the wall drains.
+	// A closed-loop flood keeps the slot taken and the queue busy;
+	// every bulk arrival and release is also a fresh shed pass, so the
+	// doomed job's expiry is noticed long before the wall drains.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var bulkOK atomic.Int64
@@ -289,7 +288,7 @@ func jain(xs []int64) float64 {
 }
 
 // TestQoSStarvationFairnessSoak is the serving-layer starvation
-// property test: a priority-0 flood saturates the crew while a
+// property test: a priority-0 flood saturates the queue while a
 // low-priority trickle keeps arriving, workers churn (kill+respawn)
 // inside every sort, and the claim is that aging still serves every
 // single trickle request — zero trickle timeouts or errors, every body
@@ -306,11 +305,10 @@ func TestQoSStarvationFairnessSoak(t *testing.T) {
 		floodN = 2000
 	}
 	s, ts := newTestServer(t, Config{
-		PipelineDepth: 32,
-		BatchMaxKeys:  -1,
-		MaxInFlight:   256,
-		Timeout:       30 * time.Second,
-		Options:       []wfsort.Option{wfsort.WithChurn(2), wfsort.WithSeed(42)},
+		BatchMaxKeys: -1,
+		MaxInFlight:  256,
+		Timeout:      30 * time.Second,
+		Options:      []wfsort.Option{wfsort.WithChurn(2), wfsort.WithSeed(42)},
 		QoS: &qos.Config{
 			AgingMs: 25,
 			Classes: []qos.ClassQoS{
@@ -407,7 +405,7 @@ trickle:
 	}
 
 	// The scheduler's own ledger agrees: the trickle class aged its way
-	// to the crew and its queue-wait histogram is populated.
+	// to the slot and its queue-wait histogram is populated.
 	tc := s.Classes().Get("trickle")
 	if tc.Admitted.Load() != trickleSent.Load() {
 		t.Fatalf("trickle admitted = %d of %d", tc.Admitted.Load(), trickleSent.Load())

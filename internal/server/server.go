@@ -42,9 +42,10 @@ type Config struct {
 	// Options is appended to the pool configuration — variant, layout,
 	// seed, fault planes (WithChurn/WithCrashes for soak and E22 runs).
 	Options []wfsort.Option
-	// PipelineDepth > 0 routes the pool's queued sorts through one
-	// resident phase-pipelined crew of that depth (wfsort.WithPipeline)
-	// instead of per-sort serial teams. 0 keeps serial teams.
+	// PipelineDepth is accepted and ignored: every sort borrows a
+	// resident team of its own (see wfsort.WithPipeline).
+	//
+	// Deprecated: it has no effect; leave it unset.
 	PipelineDepth int
 	// MaxInFlight bounds admitted requests; excess get 429 (default 64).
 	MaxInFlight int
@@ -73,12 +74,11 @@ type Config struct {
 	ClassLimit int
 	// QoS enables the quality-of-service plane: per-class token-bucket
 	// admission replaces the flat semaphore's verdicts (the semaphore
-	// stays as a memory backstop), the pipeline queue is ordered by
-	// priority with aging and deadline shedding, and unknown classes
-	// are rejected with 400. Requests then select a class with
-	// X-Sort-Class (missing header means "default", which must be
-	// configured). Implies a pipelined pool: PipelineDepth 0 becomes
-	// 64.
+	// stays as a memory backstop), the pool's one-slot admission queue
+	// orders sorts by priority with aging and deadline shedding
+	// (wfsort.WithQueuePolicy), and unknown classes are rejected with
+	// 400. Requests then select a class with X-Sort-Class (missing
+	// header means "default", which must be configured).
 	QoS *qos.Config
 	// SLO, when > 0, is the p99 latency objective the burn-rate monitor
 	// watches: requests slower than this (or failed outright) burn the
@@ -125,11 +125,6 @@ func (c *Config) fill() {
 	if c.StuckAfter == 0 {
 		c.StuckAfter = 30 * time.Second
 	}
-	if c.QoS != nil && c.PipelineDepth == 0 {
-		// The scheduler lives on the pipeline's pending queue; without a
-		// crew there is nothing to order.
-		c.PipelineDepth = 64
-	}
 }
 
 // Stats is the service's cumulative counter snapshot.
@@ -160,7 +155,7 @@ type batchResult struct {
 	sorted []int64
 	err    error
 	// Stage attribution for member requests' spans: when the flusher
-	// ran (flushStart non-zero), the merged sort's queue wait and crew
+	// ran (flushStart non-zero), the merged sort's queue wait and team
 	// wall plus its per-phase splits. A member abandoned by its
 	// deadline before the flush sees the zero value.
 	flushStart time.Time
@@ -218,9 +213,6 @@ func New(cfg Config) (*Server, error) {
 	opts := cfg.Options
 	if cfg.Workers > 0 {
 		opts = append([]wfsort.Option{wfsort.WithWorkers(cfg.Workers)}, opts...)
-	}
-	if cfg.PipelineDepth > 0 {
-		opts = append(opts, wfsort.WithPipeline(cfg.PipelineDepth))
 	}
 	var plane *qos.Plane
 	if cfg.QoS != nil {
@@ -321,8 +313,8 @@ type shardResponse struct {
 }
 
 // classObserver adapts the scheduler's decision stream onto the
-// per-class counters. Calls arrive from the pipeline's dispatcher
-// goroutine; everything touched is atomic.
+// per-class counters. Calls arrive from the pool's admission queue,
+// one decision at a time; everything touched is atomic.
 type classObserver struct{ classes *obs.ClassSet }
 
 func (o classObserver) JobDispatched(class string, waitNs int64) {
@@ -524,7 +516,7 @@ func (s *Server) serveSort(w http.ResponseWriter, r *http.Request, shard bool) {
 		sorted, res, err = s.sortBatched(ctx, req.Keys, prio)
 		if sc.on {
 			// The batched segment decomposes as assembly wait (enqueue ->
-			// flush), the flusher's queue+crew wall, and the remainder
+			// flush), the flusher's queue+team wall, and the remainder
 			// (split/deliver plus scheduler slop) as merge.
 			prev, seg := sc.take()
 			if res.flushStart.IsZero() {
@@ -557,7 +549,7 @@ func (s *Server) serveSort(w http.ResponseWriter, r *http.Request, shard bool) {
 	switch {
 	case err == nil:
 	case errors.Is(err, wfsort.ErrDeadlineShed):
-		// The queue dropped the job before a crew slot was committed: a
+		// The queue dropped the job before a team ran it: a
 		// 504 issued from the queue, never from a worker. Counted with
 		// the deadline family so the client/server ledger still balances
 		// (loadgen maps any 504 to its deadline outcome).

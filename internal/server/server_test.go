@@ -121,9 +121,9 @@ func TestServerSort(t *testing.T) {
 	}
 }
 
-// TestServerPipelined serves concurrent traffic through the
-// phase-pipelined crew (Config.PipelineDepth) and checks every
-// response — the serving path the pipeline was built for.
+// TestServerPipelined serves concurrent traffic on a server configured
+// with PipelineDepth, which is accepted and ignored, and checks every
+// response: each request's sort runs on a team of its own.
 func TestServerPipelined(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4, PipelineDepth: 2})
 	rng := rand.New(rand.NewSource(17))

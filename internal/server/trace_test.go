@@ -140,6 +140,9 @@ func TestTraceEchoAndStagePartition(t *testing.T) {
 	if sp.StageDur("sort") <= 0 {
 		t.Fatalf("sort stage empty: %+v", sp.Stages)
 	}
+	if len(sp.Phases) == 0 {
+		t.Fatalf("direct span has no team phases: %+v", sp)
+	}
 
 	small := randKeys(rng, 30)
 	resp, _ = postSortTraced(t, ts.URL, "cli-batched", "", small)

@@ -188,10 +188,10 @@ func TestWireHostileBodies(t *testing.T) {
 }
 
 // TestWireMixedCodecTraffic interleaves JSON and binary clients on one
-// pipelined server: negotiation is per-request state, so concurrent
-// codecs must never bleed into each other's replies.
+// server: negotiation is per-request state, so concurrent codecs must
+// never bleed into each other's replies.
 func TestWireMixedCodecTraffic(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, PipelineDepth: 2})
+	_, ts := newTestServer(t, Config{Workers: 4})
 	var wg sync.WaitGroup
 	fails := make([]string, 8)
 	for g := range fails {

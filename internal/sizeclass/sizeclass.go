@@ -26,8 +26,8 @@ const (
 	// FreshCutoff is the largest input a pool sorts on a freshly laid
 	// out exact-size context rather than a size-class one: the padding
 	// overhead of rounding a tiny input up to MinClass exceeds the cost
-	// of just building a tiny arena. Such sorts still run on the pool's
-	// resident serial team, never its pipelined crew.
+	// of just building a tiny arena. Such sorts still run on a resident
+	// team of the pool, and skip its admission queue.
 	FreshCutoff = 64
 
 	// DefaultMaxKeys is the default request size limit for a single

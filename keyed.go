@@ -4,7 +4,7 @@ package wfsort
 // records by this integer field", and for that shape a comparator call
 // per comparison is pure overhead. The keyed path extracts one uint64
 // key per element into a pooled key buffer and sorts the KEYS through
-// the same wait-free arenas, teams, pipeline, QoS and fault planes as
+// the same wait-free arenas, teams, admission queue and fault planes as
 // every other sort (the shared body is sortOn). Like the comparator
 // path it then reorders the caller's slice in place by walking the
 // permutation's swap cycles, so element payloads are never copied:
@@ -113,7 +113,7 @@ func permuteInPlace[T any](data []T, places []int) error {
 }
 
 // KeyedSorter is the reusable form of SortKeyed: pooled arenas,
-// resident teams or a pipelined crew, QoS and tracing via context —
+// resident teams, QoS and tracing via context —
 // exactly Sorter's machinery — ordered by extracted keys. Create one
 // with NewKeyedSorter; it is safe for concurrent use (concurrent sorts
 // borrow separate contexts and key buffers).

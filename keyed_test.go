@@ -160,6 +160,9 @@ func TestKeyedSorterSharedPool(t *testing.T) {
 	}
 }
 
+// TestKeyedSorterPipelinedWithFaults runs churned keyed sorts on a
+// pool built with WithPipeline, which is accepted and ignored, and
+// checks each against a stable reference.
 func TestKeyedSorterPipelinedWithFaults(t *testing.T) {
 	s, err := NewKeyedSorter(recordKey, WithWorkers(4), WithPipeline(4), WithChurn(1))
 	if err != nil {
@@ -372,11 +375,11 @@ func BenchmarkKeyedVsComparator(b *testing.B) {
 }
 
 // BenchmarkEntryPointSizes times two entry-point regimes: a 64-key
-// KeyedSorter on a pipelined pool, which runs on an exact-size context
-// and the pool's resident serial team (the serving tier's
-// single-request batches), and one-shot SortFunc over 32-byte records,
-// which reads the payloads in place, so its B/op is the arena and rank
-// table alone. Run with -benchmem.
+// KeyedSorter on a pool built with the ignored WithPipeline(4), which
+// runs on an exact-size context and a resident team of the pool (the
+// serving tier's single-request batches), and one-shot SortFunc over
+// 32-byte records, which reads the payloads in place, so its B/op is
+// the arena and rank table alone. Run with -benchmem.
 func BenchmarkEntryPointSizes(b *testing.B) {
 	b.Run("KeyedSorter/pipeline4/n=64", func(b *testing.B) {
 		s, err := NewKeyedSorter(Int64Key, WithWorkers(2), WithPipeline(4))

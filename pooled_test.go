@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wfsort/internal/sizeclass"
 )
@@ -65,14 +68,14 @@ func TestSorterReuse(t *testing.T) {
 
 // TestSorterStability runs every library entry point — the one-shot
 // Sort, SortFunc and SortKeyed, and Sorter and KeyedSorter on their own
-// pool and on a shared pipelined one via WithPool — over tagged records
+// pool and on a shared one via WithPool — over tagged records
 // with many equal keys, and checks each result against sort.SliceStable
 // element for element. The sizes cross the exact-size/size-class
 // boundary, the exact-fit and padded orderings, and n below the worker
 // count on a resident team.
 func TestSorterStability(t *testing.T) {
 	byKey := func(a, b record) bool { return a.key < b.key }
-	shared, err := NewPool(WithWorkers(4), WithPipeline(2))
+	shared, err := NewPool(WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +354,10 @@ func TestPoolTrim(t *testing.T) {
 	}
 }
 
-// TestSorterPipelined drives a phase-pipelined pooled sorter from
-// several goroutines at once — the regime the pipeline exists for —
-// and checks every output. Sequential sorts ride the same crew.
+// TestSorterPipelined drives a pooled sorter built with WithPipeline,
+// which is accepted and ignored, from several goroutines at once and
+// checks every output: concurrent sorts each run on a team of their
+// own, and sequential ones reuse a parked team.
 func TestSorterPipelined(t *testing.T) {
 	s, err := NewSorter[int](WithWorkers(4), WithPipeline(2))
 	if err != nil {
@@ -403,9 +407,9 @@ func TestSorterPipelined(t *testing.T) {
 	}
 }
 
-// TestSorterPipelinedChurn overlaps faulted sorts on the pipelined
-// crew: per-job kill flags mean one sort's churn never leaks into the
-// jobs pipelined around it.
+// TestSorterPipelinedChurn runs churned sorts back to back on a pool
+// built with the ignored WithPipeline: each job resets its team's kill
+// flags, so one sort's churn never leaks into the next.
 func TestSorterPipelinedChurn(t *testing.T) {
 	s, err := NewSorter[int](WithWorkers(4), WithPipeline(2), WithChurn(2))
 	if err != nil {
@@ -417,14 +421,15 @@ func TestSorterPipelinedChurn(t *testing.T) {
 		data := randSlice(rng, 300+60*i)
 		orig := append([]int(nil), data...)
 		if err := s.Sort(data); err != nil {
-			t.Fatalf("pipelined churn sort %d: %v", i, err)
+			t.Fatalf("churn sort %d: %v", i, err)
 		}
 		checkSorted(t, data, orig)
 	}
 }
 
-// TestSorterPipelinedContextCancel: aborting one pipelined sort leaves
-// the data untouched and the crew serving.
+// TestSorterPipelinedContextCancel: aborting one sort on a pool built
+// with the ignored WithPipeline leaves the data untouched and the pool
+// serving.
 func TestSorterPipelinedContextCancel(t *testing.T) {
 	s, err := NewSorter[int](WithWorkers(2), WithPipeline(1))
 	if err != nil {
@@ -445,7 +450,7 @@ func TestSorterPipelinedContextCancel(t *testing.T) {
 	case errors.Is(err, context.Canceled):
 		for i := range big {
 			if big[i] != orig[i] {
-				t.Fatalf("aborted pipelined sort mutated data at %d", i)
+				t.Fatalf("aborted sort mutated data at %d", i)
 			}
 		}
 	default:
@@ -460,14 +465,117 @@ func TestSorterPipelinedContextCancel(t *testing.T) {
 	checkSorted(t, after, origAfter)
 }
 
-// TestWithPipelineOneShotRejected locks WithPipeline to pools: the
-// one-shot paths have exactly one job, so the option is a usage error.
-func TestWithPipelineOneShotRejected(t *testing.T) {
-	if err := Sort([]int{3, 1, 2}, WithPipeline(2)); err == nil {
-		t.Fatal("one-shot Sort accepted WithPipeline")
+// TestWithPipelineIgnored pins WithPipeline as a no-op that every
+// entry point accepts: one-shot sorts, Simulate and pools sort exactly
+// as without it.
+func TestWithPipelineIgnored(t *testing.T) {
+	data := []int{3, 1, 2}
+	if err := Sort(data, WithPipeline(2)); err != nil || !sort.IntsAreSorted(data) {
+		t.Fatalf("one-shot Sort with WithPipeline: %v %v", err, data)
 	}
-	if _, err := Simulate([]int{3, 1, 2}, WithPipeline(2)); err == nil {
-		t.Fatal("Simulate accepted WithPipeline")
+	res, err := Simulate([]int{3, 1, 2}, WithPipeline(2))
+	if err != nil || !slices.Equal(res.Ranks, []int{3, 1, 2}) {
+		t.Fatalf("Simulate with WithPipeline: %v %+v", err, res)
+	}
+	p, err := NewPool(WithWorkers(2), WithPipeline(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.queue != nil {
+		t.Fatal("WithPipeline installed an admission queue")
+	}
+}
+
+// TestPoolRunsSortsConcurrently: without a queue policy a pool does not
+// serialize its sorts. Each of two sorts blocks in its first comparison
+// until both have started, which only completes if they run at once.
+func TestPoolRunsSortsConcurrently(t *testing.T) {
+	p, err := NewPool(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var started sync.WaitGroup
+	started.Add(2)
+	both := make(chan struct{})
+	go func() {
+		started.Wait()
+		close(both)
+	}()
+	var timedOut atomic.Bool
+	rng := rand.New(rand.NewSource(13))
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	datas := make([][]int, 2)
+	origs := make([][]int, 2)
+	for i := range errs {
+		var once sync.Once
+		s, err := NewSorterFunc(func(a, b int) bool {
+			once.Do(func() {
+				started.Done()
+				select {
+				case <-both:
+				case <-time.After(10 * time.Second):
+					timedOut.Store(true)
+				}
+			})
+			return a < b
+		}, WithPool(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		datas[i] = randSlice(rng, 300)
+		origs[i] = append([]int(nil), datas[i]...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.Sort(datas[i])
+		}()
+	}
+	wg.Wait()
+	if timedOut.Load() {
+		t.Fatal("the pool ran its two sorts one after the other")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSorted(t, datas[i], origs[i])
+	}
+}
+
+// TestSortTraceOnTeam: a traced pooled sort reports its team's wall and
+// a per-phase split of it under the kernel's phase labels, with no
+// queue wait on a pool without a queue policy.
+func TestSortTraceOnTeam(t *testing.T) {
+	s, err := NewSorter[int](WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{sizeclass.FreshCutoff, 5000} {
+		data := randSlice(rng, n)
+		var tr SortTrace
+		if err := s.SortContext(WithSortTrace(context.Background(), &tr), data); err != nil {
+			t.Fatal(err)
+		}
+		if tr.RunNs <= 0 || tr.QueueWaitNs != 0 {
+			t.Fatalf("n=%d: trace %+v, want RunNs > 0 and no queue wait", n, tr)
+		}
+		var names []string
+		var sum int64
+		for _, ph := range tr.Phases {
+			names = append(names, ph.Name)
+			sum += ph.DurNs
+		}
+		if !slices.Equal(names, []string{"1:build", "3:place"}) {
+			t.Fatalf("n=%d: phases %v, want the kernel's [1:build 3:place]", n, names)
+		}
+		if sum <= 0 || sum > tr.RunNs {
+			t.Fatalf("n=%d: phase sum %d outside (0, RunNs=%d]", n, sum, tr.RunNs)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"wfsort/internal/model"
 	"wfsort/internal/native"
@@ -27,31 +26,28 @@ type PoolStats = pool.Stats
 // at class capacity, and returns the context reset for the next
 // borrower. A tiny request (n <= sizeclass.FreshCutoff) lays out an
 // exact-size context instead, cheaper than padding up to the smallest
-// class, and runs on a resident serial team even when the pool
-// pipelines. Workers live in resident teams whose goroutines survive
-// even the fault plane's kills: only the sort program unwinds, so a
-// team battered by WithChurn or WithCrashes is back at full strength
-// for its next job.
+// class. Every sort borrows a resident serial team for the call.
+// Workers live in resident teams whose goroutines survive even the
+// fault plane's kills: only the sort program unwinds, so a team
+// battered by WithChurn or WithCrashes is back at full strength for
+// its next job.
 //
 // The sort configuration (workers, variant, layout, seed, faults) is
 // fixed per pool — contexts are only interchangeable because every
 // sort uses the same arena layout. All methods are safe for concurrent
-// use; concurrent sorts each borrow their own context and team.
+// use; concurrent sorts each borrow their own context and team, and
+// run at once unless WithQueuePolicy puts them in a queue.
 type Pool struct {
 	c    config
 	ctxs *pool.Pool // nil on a one-call pool (see oneCall)
 	seq  atomic.Uint64
+	// queue admits one class-context sort at a time in the order of the
+	// pool's QueuePolicy; nil without WithQueuePolicy.
+	queue *admitQueue
 
 	mu     sync.Mutex
 	teams  []*native.Team
 	closed bool
-
-	// Pipeline state (WithPipeline only): one resident phase-pipelined
-	// crew shared by every sort on the pool, built lazily on first use.
-	// pipeBusy counts sorts in flight on it so Close can defer the crew
-	// teardown until the last one returns.
-	pipe     *native.Pipeline
-	pipeBusy int
 }
 
 // NewPool builds a context pool for the given sort configuration.
@@ -69,6 +65,9 @@ func NewPool(opts ...Option) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{c: c}
+	if c.queuePolicy != nil {
+		p.queue = newAdmitQueue(c.queuePolicy)
+	}
 	p.ctxs, err = pool.New(pool.Config{
 		// Every class must host the pool's full worker set (P <= N).
 		MinCapacity:  c.workers,
@@ -127,11 +126,9 @@ func WithPool(p *Pool) Option {
 // Stats snapshots the pool's context counters.
 func (p *Pool) Stats() PoolStats { return p.ctxs.Stats() }
 
-// Trim drops every idle context and parks no more idle teams than
-// sorts in flight, returning memory and goroutines during quiet
-// periods. The pipelined crew, when one exists, stays resident: its
-// lifetime is the pool's, because rebuilding it mid-stream would drop
-// the cross-job progress words the admission gate relies on.
+// Trim drops every idle context and closes every idle team, returning
+// memory and goroutines during quiet periods. Sorts in flight keep
+// their context and team, and park the team again on return.
 func (p *Pool) Trim() {
 	p.ctxs.Trim()
 	p.mu.Lock()
@@ -150,56 +147,11 @@ func (p *Pool) Close() {
 	p.closed = true
 	teams := p.teams
 	p.teams = nil
-	var pl *native.Pipeline
-	if p.pipeBusy == 0 {
-		pl = p.pipe
-		p.pipe = nil
-	}
 	p.mu.Unlock()
 	for _, t := range teams {
 		t.Close()
 	}
-	if pl != nil {
-		pl.Close()
-	}
 	p.ctxs.Trim()
-}
-
-// borrowPipeline returns the pool's resident pipelined crew (building
-// it on first use) and registers one in-flight sort on it, or nil when
-// pipelining is off or the pool has closed — callers then fall back to
-// a serial team. Unlike teams, the crew is shared, not checked out:
-// overlapping sorts on it is the point.
-func (p *Pool) borrowPipeline() *native.Pipeline {
-	if p.c.pipeDepth == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil
-	}
-	if p.pipe == nil {
-		p.pipe = native.NewPipelinePolicy(p.c.workers, p.c.pipeDepth, false, p.c.queuePolicy)
-	}
-	p.pipeBusy++
-	return p.pipe
-}
-
-// releasePipeline retires one in-flight sort; the last one out closes
-// the crew if the pool shut down meanwhile.
-func (p *Pool) releasePipeline() {
-	p.mu.Lock()
-	p.pipeBusy--
-	var toClose *native.Pipeline
-	if p.closed && p.pipeBusy == 0 {
-		toClose = p.pipe
-		p.pipe = nil
-	}
-	p.mu.Unlock()
-	if toClose != nil {
-		toClose.Close()
-	}
 }
 
 // getTeam pops an idle resident team or starts one.
@@ -384,24 +336,17 @@ func funcLess[E any](data []E, less func(a, b E) bool, capacity int) func(i, j i
 	}
 }
 
-// runPooled executes one sort job on the pool's machinery — pipelined
-// crew when configured, serial team otherwise; exact contexts always
-// take a serial team — with the QoS envelope and trace sink drawn from
-// ctx, an abort watcher on ctx cancellation, and rank validation. On
-// success pc.Places[:n] holds each element's 1-based rank.
+// runPooled executes one sort job on a resident team borrowed for the
+// call, with the QoS envelope and trace sink drawn from ctx, an abort
+// on ctx cancellation, and rank validation. On a pool with a queue
+// policy, a sort on a class context first waits for the admission
+// queue's one slot; exact contexts skip the queue. On success
+// pc.Places[:n] holds each element's 1-based rank.
 func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, exact bool, idxLess func(i, j int) bool) error {
 	seq := p.seq.Add(1)
 	c := p.c
 	sink := sortTraceFrom(ctx)
-	var run sortRun
-	var pipeRun *native.PipeRun
-	var teamStart time.Time
-	var pl *native.Pipeline
-	if !exact {
-		pl = p.borrowPipeline()
-	}
-	if pl != nil {
-		defer p.releasePipeline()
+	if p.queue != nil && !exact {
 		// The request's QoS envelope rides the context; the queue policy
 		// schedules by it. EstCost defaults to the borrowed class
 		// capacity — the size the sort actually runs at.
@@ -409,55 +354,38 @@ func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, exact bool, i
 		if q.EstCost == 0 {
 			q.EstCost = int64(pc.Capacity)
 		}
-		pipeRun = pl.Submit(native.PipeJob{
-			Graph:     pc.Runner.Graph(),
-			Mem:       pc.Mem,
-			Less:      idxLess,
-			Seed:      c.seed + seq,
-			Adversary: c.adversary(seq),
-			QoS:       q,
-			Traced:    sink != nil,
-		})
-		run = pipeRun
-	} else {
-		team := p.getTeam()
-		defer p.putTeam(team)
-		teamStart = time.Now()
-		run = team.Start(native.TeamJob{
-			Prog:      pc.Runner.Program(),
-			Mem:       pc.Mem,
-			Less:      idxLess,
-			Seed:      c.seed + seq,
-			Adversary: c.adversary(seq),
-			Observer:  c.observer,
-		})
+		waitNs, err := p.queue.acquire(ctx, q)
+		if sink != nil {
+			sink.QueueWaitNs = waitNs
+		}
+		if err != nil {
+			return err
+		}
+		defer p.queue.release()
 	}
-	var watcherDone chan struct{}
+	team := p.getTeam()
+	defer p.putTeam(team)
+	run := team.Start(native.TeamJob{
+		Graph:     pc.Runner.Graph(),
+		Mem:       pc.Mem,
+		Less:      idxLess,
+		Seed:      c.seed + seq,
+		Adversary: c.adversary(seq),
+		Observer:  c.observer,
+		Traced:    sink != nil,
+	})
 	if ctx.Done() != nil {
-		watcherDone = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				run.Abort()
-			case <-watcherDone:
-			}
-		}()
+		// An Abort after Wait finds the team's job finished and does
+		// nothing.
+		defer context.AfterFunc(ctx, run.Abort)()
 	}
 	_, runErr := run.Wait()
-	if watcherDone != nil {
-		close(watcherDone)
-	}
 	if sink != nil {
-		// Fill the caller's trace sink even on error paths: a shed or
-		// aborted sort still reports its queue wait.
-		if pipeRun != nil {
-			t := pipeRun.Timing()
-			sink.QueueWaitNs = t.QueueWaitNs
-			sink.RunNs = t.RunNs
-			sink.Phases = t.Phases
-		} else {
-			sink.RunNs = time.Since(teamStart).Nanoseconds()
-		}
+		// Filled even on error paths: an aborted sort still reports its
+		// run.
+		t := run.Timing()
+		sink.RunNs = t.RunNs
+		sink.Phases = t.Phases
 	}
 	if runErr != nil {
 		return runErr
@@ -477,13 +405,4 @@ func (p *Pool) runPooled(ctx context.Context, pc *pool.Ctx, n int, exact bool, i
 		}
 	}
 	return nil
-}
-
-// sortRun is the common handle over a serial team job (*native.TeamRun)
-// and a pipelined job (*native.PipeRun), so SortContext's wait, cancel
-// and certification logic exists once.
-type sortRun interface {
-	Wait() (*model.Metrics, error)
-	Abort()
-	Aborted() bool
 }

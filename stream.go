@@ -1,14 +1,13 @@
 package wfsort
 
-// The streaming external sort: sort N ≫ memory by pipelining pooled
-// size-class chunks through the resident crew and k-way merging the
-// sorted runs. SortStream reads keys from a KeyReader in chunks of
-// ChunkKeys, sorts each chunk as one pooled job (so chunks overlap at
-// phase granularity on a WithPipeline pool — the PR 5 admission gate
-// is what makes "external sort" and "serving pipeline" the same
-// machine), spills sorted chunks as wire.KindChunk blocks in one
-// temporary file, and finally streams a k-way merge (internal/merge)
-// of the spilled runs into the KeyWriter. Peak memory is
+// The streaming external sort: sort N ≫ memory by sorting pooled
+// size-class chunks concurrently and k-way merging the sorted runs.
+// SortStream reads keys from a KeyReader in chunks of ChunkKeys, sorts
+// each chunk as one pooled job on a resident team of its own (Depth of
+// them at a time, overlapping the reads and spill writes), spills
+// sorted chunks as wire.KindChunk blocks in one temporary file, and
+// finally streams a k-way merge (internal/merge) of the spilled runs
+// into the KeyWriter. Peak memory is
 // O(Depth·ChunkKeys + fan-in·MergeBufKeys), independent of N; the
 // single-chunk case skips the spill entirely. Each chunk job carries
 // the caller's context — deadline, QoS class and trace sink propagate
@@ -77,21 +76,20 @@ type StreamConfig struct {
 	// pooled context). It is the memory knob: peak usage scales with
 	// ChunkKeys, never with the input.
 	ChunkKeys int
-	// Depth bounds chunk sorts in flight (default 4). On a pipelined
-	// pool this is how many chunks overlap on the crew.
+	// Depth bounds chunk sorts in flight (default 4); each runs on its
+	// own resident team of the pool.
 	Depth int
 	// MergeBufKeys is the per-run frame size of the final merge
 	// (default 4096).
 	MergeBufKeys int
 	// SpillDir is where the spill file lives (default os.TempDir()).
 	SpillDir string
-	// Pool supplies the sorting machinery. nil builds a private
-	// pipelined pool from Options for the duration of the call;
-	// non-nil reuses a shared pool (its configuration wins) and
-	// Options must be empty.
+	// Pool supplies the sorting machinery. nil builds a private pool
+	// from Options for the duration of the call; non-nil reuses a
+	// shared pool (its configuration wins) and Options must be empty.
 	Pool *Pool
 	// Options configures the private pool when Pool is nil — same
-	// options as NewPool; WithPipeline(Depth) is implied when absent.
+	// options as NewPool.
 	Options []Option
 }
 
@@ -155,12 +153,8 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 	}
 	p := cfg.Pool
 	if p == nil {
-		opts := cfg.Options
-		if !hasPipelineOpt(opts) {
-			opts = append(append([]Option(nil), opts...), WithPipeline(cfg.Depth))
-		}
 		var err error
-		p, err = NewPool(opts...)
+		p, err = NewPool(cfg.Options...)
 		if err != nil {
 			return st, err
 		}
@@ -261,7 +255,7 @@ func SortStream(ctx context.Context, dst KeyWriter, src KeyReader, cfg StreamCon
 			filled += n
 			if readErr != nil && readErr != io.EOF {
 				bufPool.Put(buf)
-				return st, fmt.Errorf("wfsort: stream read: %w", readErr)
+				return st, fail(fmt.Errorf("wfsort: stream read: %w", readErr))
 			}
 		}
 		if filled == 0 {
@@ -383,15 +377,4 @@ func writeFrames(dst KeyWriter, keys []int64, frameKeys int) error {
 		}
 	}
 	return nil
-}
-
-// hasPipelineOpt reports whether opts already sets WithPipeline, so
-// SortStream's private pool only defaults the depth when the caller
-// didn't choose one.
-func hasPipelineOpt(opts []Option) bool {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.explicit&setPipeline != 0
 }

@@ -3,6 +3,7 @@ package wfsort
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"runtime"
@@ -107,7 +108,7 @@ func TestSortStreamDuplicateHeavy(t *testing.T) {
 }
 
 func TestSortStreamSharedPool(t *testing.T) {
-	pool, err := NewPool(WithWorkers(2), WithPipeline(4))
+	pool, err := NewPool(WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +145,48 @@ func TestSortStreamCancel(t *testing.T) {
 	}
 }
 
+// failAfterReader serves pseudo-random keys and then fails: a source
+// that breaks mid-stream, after some chunks are already sorting.
+type failAfterReader struct {
+	rng  *rand.Rand
+	left int
+}
+
+var errSourceBroke = errors.New("source broke")
+
+func (r *failAfterReader) ReadKeys(buf []int64) (int, error) {
+	if r.left == 0 {
+		return 0, errSourceBroke
+	}
+	n := min(len(buf), r.left)
+	for i := range buf[:n] {
+		buf[i] = r.rng.Int63()
+	}
+	r.left -= n
+	return n, nil
+}
+
+// TestSortStreamReadErrorWaitsForChunks: a source read error returns
+// only after every chunk sort in flight has finished, so each context
+// the stream borrowed is back in the pool when SortStream returns.
+func TestSortStreamReadErrorWaitsForChunks(t *testing.T) {
+	pool, err := NewPool(WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	const chunk = 1 << 16
+	src := &failAfterReader{rng: rand.New(rand.NewSource(9)), left: 3 * chunk}
+	var out SliceWriter
+	_, err = SortStream(context.Background(), &out, src, StreamConfig{ChunkKeys: chunk, Pool: pool})
+	if !errors.Is(err, errSourceBroke) {
+		t.Fatalf("got %v, want the source's error", err)
+	}
+	if st := pool.Stats(); st.Gets != 3 || st.Puts != st.Gets {
+		t.Fatalf("pool stats %+v: want 3 gets, all returned before SortStream returned", st)
+	}
+}
+
 func TestSortStreamWireRoundTrip(t *testing.T) {
 	// The codec is the stream's I/O dialect end to end: wire.Reader in,
 	// wire blocks out.
@@ -164,7 +207,7 @@ func TestSortStreamWireRoundTrip(t *testing.T) {
 }
 
 // TestStreamSoak is the streaming satellite: concurrent SortStream
-// runs over a churned pipelined pool, each verifying its chunk-ledger
+// runs over a churned shared pool, each verifying its chunk-ledger
 // fold against the whole-input sum/xor, with peak heap pinned to
 // O(chunk), not O(N). Short mode trims volume, not coverage.
 func TestStreamSoak(t *testing.T) {
@@ -172,7 +215,7 @@ func TestStreamSoak(t *testing.T) {
 	if testing.Short() {
 		streams, keysPer = 3, 24_000
 	}
-	pool, err := NewPool(WithWorkers(2), WithPipeline(4), WithChurn(1))
+	pool, err := NewPool(WithWorkers(2), WithChurn(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +277,13 @@ func TestStreamSoak(t *testing.T) {
 }
 
 // TestSortStreamUnderCrashes runs a spilled stream's chunk sorts on a
-// pipelined pool that fail-stops about half the workers of every sort.
+// pool that fail-stops about half the workers of every sort.
 // The output must arrive in order, and the ledgers must agree end to
 // end: the input fold in the stats, every spilled block's own ledger
 // (re-verified as stage 2 reads it back, or SortStream errors), and the
 // fold of what the writer received.
 func TestSortStreamUnderCrashes(t *testing.T) {
-	pool, err := NewPool(WithWorkers(4), WithPipeline(4), WithCrashes(0.5, 64))
+	pool, err := NewPool(WithWorkers(4), WithCrashes(0.5, 64))
 	if err != nil {
 		t.Fatal(err)
 	}

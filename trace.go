@@ -6,22 +6,20 @@ import (
 	"wfsort/internal/native"
 )
 
-// PhaseDur re-exports one worker phase's crew-wide duration from a
-// traced pipelined sort.
+// PhaseDur re-exports one worker phase's team-wide duration from a
+// traced sort.
 type PhaseDur = native.PhaseDur
 
 // SortTrace is the per-call timing sink a caller may attach to a
 // pooled SortContext via WithSortTrace. After SortContext returns, the
 // sink holds the sort's interior attribution:
 //
-//   - QueueWaitNs: time the job spent in the pipelined crew's pending
-//     queue before dispatch (0 on serial-team sorts, which include
-//     every sort of 64 elements or fewer, as they have no queue);
-//   - RunNs: crew-execution wall time, dispatch (or team start) to
-//     last worker done;
+//   - QueueWaitNs: time the sort spent in the pool's admission queue
+//     (0 on pools without WithQueuePolicy and on sorts of 64 elements
+//     or fewer, which have no queue);
+//   - RunNs: the team's wall time, team start to last worker done;
 //   - Phases: per-phase breakdown of RunNs using the engine graph's
-//     phase labels (pipelined sorts only — the serial team has no
-//     phase notification hook).
+//     phase labels, from each worker's phase-completion stamps.
 //
 // The sink is written once, by the SortContext call itself, after the
 // run completes — no concurrent access unless the caller shares one
@@ -36,7 +34,7 @@ type SortTrace struct {
 type sortTraceKey struct{}
 
 // WithSortTrace returns a context that makes one SortContext call fill
-// t with its interior timing (queue wait, crew wall, per-phase splits)
+// t with its interior timing (queue wait, team wall, per-phase splits)
 // — the seam the serving layer uses to attribute a request's latency
 // across stages without threading a new parameter through the public
 // Sort API. A nil t is ignored.

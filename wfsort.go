@@ -140,7 +140,6 @@ const (
 	setChurn
 	setCrashes
 	setPool
-	setPipeline
 	setQueuePolicy
 )
 
@@ -155,8 +154,7 @@ type config struct {
 	crashFrac   float64            // native only: fail-stop a seeded fraction
 	crashWindow int64              // op-ordinal window for crashFrac strikes
 	pool        *Pool              // NewSorter only
-	pipeDepth   int                // NewPool/NewSorter only: phase-pipelined crew depth
-	queuePolicy native.QueuePolicy // NewPool/NewSorter only: pipeline queue order
+	queuePolicy native.QueuePolicy // NewPool/NewSorter only: admission queue order
 	explicit    int                // set* bits
 }
 
@@ -236,24 +234,15 @@ func WithCrashes(frac float64, window int64) Option {
 	}
 }
 
-// WithPipeline routes a pool's queued sorts through one resident
-// phase-pipelined crew instead of per-sort serial teams: a worker that
-// finishes sort k moves straight to sort k+1, gated only by every
-// worker having cleared phase 1 of sort k, so the crew never idles
-// behind its slowest member at a job boundary. depth bounds how many
-// sorts may queue per worker beyond the one in flight; depth < 1 means
-// 1. Sorts of 64 elements or fewer skip the crew and run on the pool's
-// resident serial team. Pools and pooled sorters only — one-shot
-// Sort/SortFunc/SortKeyed and Simulate have exactly one job, so there
-// is nothing to pipeline and they reject the option.
+// WithPipeline is accepted and ignored everywhere: every pooled sort
+// borrows a resident team of its own for the call. The option once
+// routed a pool's sorts through one shared phase-pipelined crew, which
+// measured no faster than a team per sort on any workload it served
+// (DESIGN §11).
+//
+// Deprecated: it has no effect; drop it.
 func WithPipeline(depth int) Option {
-	return func(c *config) {
-		if depth < 1 {
-			depth = 1
-		}
-		c.pipeDepth = depth
-		c.explicit |= setPipeline
-	}
+	return func(*config) {}
 }
 
 // applyOptions folds opts over the defaults and validates everything
@@ -285,9 +274,6 @@ func buildConfig(n int, opts []Option) (config, error) {
 	}
 	if c.pool != nil {
 		return c, fmt.Errorf("wfsort: WithPool applies to NewSorter, not one-shot sorts")
-	}
-	if c.explicit&setPipeline != 0 {
-		return c, fmt.Errorf("wfsort: WithPipeline applies to NewPool/NewSorter, not one-shot sorts")
 	}
 	if c.explicit&setQueuePolicy != 0 {
 		return c, fmt.Errorf("wfsort: WithQueuePolicy applies to NewPool/NewSorter, not one-shot sorts")
