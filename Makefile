@@ -104,7 +104,7 @@ sortc:
 soak:
 	go test -race -run 'TestSoak|TestClusterSoak' -count=1 ./internal/server ./internal/cluster
 
-# Fault-injection sweep: adversary policies x P x layouts, certified
+# Fault-injection sweep: adversary policies x P, certified
 # against the wait-freedom op ceiling, with pram/native differentials.
 chaos:
 	go run ./cmd/chaos
@@ -133,7 +133,7 @@ stress:
 # Perfetto trace written to obs-trace.json — open it at
 # https://ui.perfetto.dev.
 obs:
-	go run ./cmd/trace -runtime native -n 100000 -variant rand -out obs-trace.json
+	go run ./cmd/trace -runtime native -n 100000 -out obs-trace.json
 	go run ./cmd/stress -duration 30s -listen :6060
 
 fmt:

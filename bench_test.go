@@ -11,7 +11,6 @@ package wfsort_test
 
 import (
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -20,7 +19,6 @@ import (
 	"wfsort/internal/core"
 	"wfsort/internal/lowcont"
 	"wfsort/internal/model"
-	"wfsort/internal/native"
 	"wfsort/internal/pram"
 	"wfsort/internal/wat"
 	"wfsort/internal/writeall"
@@ -390,47 +388,8 @@ func BenchmarkE17QRQW(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeArena is the layout × workers matrix behind
-// cmd/benchgate: every native arena layout at P ∈ {1, 4, 8,
-// GOMAXPROCS} and N ∈ {64k, 256k}. The acceptance ratio for the
-// contention-sharded fast path is read off the p8/256k rows:
-// sharded must beat flat by ≥ 1.3×.
-//
-//	go test -bench 'NativeArena' -benchmem .
-func BenchmarkNativeArena(b *testing.B) {
-	workerSet := []int{1, 4, 8}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 && g != 8 {
-		workerSet = append(workerSet, g)
-	}
-	for _, layout := range wfsort.Layouts() {
-		b.Run(layout.String(), func(b *testing.B) {
-			for _, p := range workerSet {
-				for _, n := range []int{65_536, 262_144} {
-					b.Run("p"+itoa(p)+"/"+sizeName(n), func(b *testing.B) {
-						base := benchKeys(n, uint64(n)+uint64(p))
-						data := make([]int, n)
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							copy(data, base)
-							if err := wfsort.Sort(data,
-								wfsort.WithWorkers(p), wfsort.WithLayout(layout)); err != nil {
-								b.Fatal(err)
-							}
-						}
-						b.StopTimer()
-						if !sort.IntsAreSorted(data) {
-							b.Fatal("not sorted")
-						}
-						b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")
-					})
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkNativeObserved measures the cost of the wait-free
-// observability plane on the default sharded sort: "off" is the
+// observability plane on the native sort: "off" is the
 // nil-observer baseline (one pointer compare per op), "on" installs a
 // full Observer (event rings, phase spans, snapshots). cmd/benchgate
 // gates the off/on ratio so the hook can never silently grow a real
@@ -509,29 +468,4 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// BenchmarkE18NativeCAS measures the native sort's CAS failure rate —
-// the hardware contention proxy — at GOMAXPROCS workers.
-func BenchmarkE18NativeCAS(b *testing.B) {
-	const n = 50_000
-	keys := benchKeys(n, 18)
-	less := lessFor(keys)
-	var failPct float64
-	for i := 0; i < b.N; i++ {
-		var a model.Arena
-		s := core.NewSorter(&a, n, core.AllocRandomized)
-		rt := native.New(native.Config{
-			P: 4, Mem: a.Size(), Seed: uint64(i), Less: less, CountOps: true,
-		})
-		s.Seed(rt.Memory())
-		met, err := rt.Run(s.Program())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if met.CASes > 0 {
-			failPct = 100 * float64(met.CASFailures) / float64(met.CASes)
-		}
-	}
-	b.ReportMetric(failPct, "casfail%")
 }

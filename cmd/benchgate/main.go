@@ -1,8 +1,9 @@
-// Command benchgate is the native fast path's regression gate. It
-// times the real-goroutine sort across a layout × workers × size
-// matrix (P ∈ {1, 4, 8, GOMAXPROCS}, N up to 1M), writes the
-// measurements as JSON, and fails if throughput regressed more than
-// the tolerance against the checked-in baseline (BENCH_native.json).
+// Command benchgate is the native sort's regression gate. It times the
+// real-goroutine sort (the block-leaf kernel) across a workers × size
+// matrix (P ∈ {1, 4, 8, GOMAXPROCS}, N up to 1M), each cell alongside
+// slices.Sort on the same permutation, writes the measurements as JSON,
+// and fails if throughput regressed more than the tolerance against the
+// checked-in baseline (BENCH_native.json).
 //
 // Usage:
 //
@@ -30,11 +31,11 @@
 //   - On the machine that produced the baseline (same GOOS/GOARCH,
 //     GOMAXPROCS and CPU count), the geomean absolute throughput must
 //     be within tolerance of the baseline's.
-//   - On any machine, the geomean sharded/flat throughput ratio — the
-//     speedup the contention-sharded layout exists to deliver, which
-//     is machine-relative by construction — must be within tolerance
-//     of the baseline's.
-//   - With -observed, extra sharded cells run with the internal/obs
+//   - On any machine, the geomean kernel/slices.Sort throughput ratio
+//     — the sort against its sequential floor, timed on the same keys
+//     in the same run and so machine-relative by construction — must
+//     be within tolerance of the baseline's.
+//   - With -observed, extra cells run with the internal/obs
 //     observability plane installed, and the geomean observed/
 //     unobserved ratio must stay within tolerance of 1 — the observer
 //     hook is sold as near-free, and this gate keeps it honest. The
@@ -59,6 +60,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -94,15 +96,16 @@ func (h Host) comparable(o Host) bool {
 		h.GOMAXPROCS == o.GOMAXPROCS && h.NumCPU == o.NumCPU
 }
 
-// Result is one cell of the matrix: median-of-runs throughput for a
-// (layout, workers, size) combination.
+// Result is one cell of the matrix: median-of-runs throughput of the
+// native sort for a (workers, size) combination and, on unobserved
+// cells, of slices.Sort on the same permutation.
 type Result struct {
-	Layout      string  `json:"layout"`
-	P           int     `json:"p"`
-	N           int     `json:"n"`
-	Observed    bool    `json:"observed,omitempty"`
-	ElemsPerSec float64 `json:"elems_per_sec"`
-	Runs        int     `json:"runs"`
+	P                 int     `json:"p"`
+	N                 int     `json:"n"`
+	Observed          bool    `json:"observed,omitempty"`
+	ElemsPerSec       float64 `json:"elems_per_sec"`
+	StdlibElemsPerSec float64 `json:"stdlib_elems_per_sec,omitempty"`
+	Runs              int     `json:"runs"`
 }
 
 func (r Result) cell() string {
@@ -110,7 +113,7 @@ func (r Result) cell() string {
 	if r.Observed {
 		obs = "+obs"
 	}
-	return fmt.Sprintf("%s%s/p%d/n%d", r.Layout, obs, r.P, r.N)
+	return fmt.Sprintf("kernel%s/p%d/n%d", obs, r.P, r.N)
 }
 
 // Report is the BENCH_native.json schema.
@@ -142,7 +145,7 @@ func run(w io.Writer, args []string) error {
 	write := fs.Bool("write", false, "regenerate the baseline file instead of gating")
 	quick := fs.Bool("quick", false, "reduced matrix; verify sortedness but never fail on perf")
 	observed := fs.Bool("observed", false, "add observer-installed cells and gate the observer overhead")
-	runs := fs.Int("runs", 3, "timed runs per cell (best is kept)")
+	runs := fs.Int("runs", 3, "timed runs per cell (the median is kept)")
 	tol := fs.Float64("tolerance", 0.10, "allowed fractional throughput regression")
 	serve := fs.Bool("serve", false, "gate the serving layer (pooled vs fresh, sortd req/s) instead of the native matrix")
 	capacity := fs.Bool("capacity", false, "gate the serving stack's capacity-curve knee (open-loop loadgen sweep vs an SLO) instead of the native matrix")
@@ -257,39 +260,33 @@ func run(w io.Writer, args []string) error {
 
 // cellSpec names one measurement to take.
 type cellSpec struct {
-	layout   wfsort.Layout
 	p, n     int
 	observed bool
 }
 
-// matrix lists the cells to measure. The full matrix is every layout
-// at P ∈ {1, 4, 8, GOMAXPROCS} and N ∈ {64Ki, 256Ki, 1Mi}; quick mode
-// keeps one small and one medium size at two worker counts for the
-// sharded and flat layouts only. With observed, every sharded cell is
-// doubled with an observer-installed twin for the overhead gate.
+// matrix lists the cells to measure. The full matrix is P ∈ {1, 4, 8,
+// GOMAXPROCS} and N ∈ {64Ki, 256Ki, 1Mi}; quick mode keeps one small
+// and one medium size at two worker counts. With observed, every cell
+// is doubled with an observer-installed twin for the overhead gate.
 func matrix(quick, observed bool) []cellSpec {
 	workers := []int{1, 4, 8}
 	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 && g != 8 {
 		workers = append(workers, g)
 	}
 	sizes := []int{1 << 16, 1 << 18, 1 << 20}
-	layouts := wfsort.Layouts()
 	if quick {
 		workers = []int{4, runtime.GOMAXPROCS(0)}
 		if workers[0] == workers[1] {
 			workers = workers[:1]
 		}
 		sizes = []int{1 << 14, 1 << 16}
-		layouts = []wfsort.Layout{wfsort.LayoutSharded, wfsort.LayoutFlat}
 	}
 	var cells []cellSpec
-	for _, l := range layouts {
-		for _, p := range workers {
-			for _, n := range sizes {
-				cells = append(cells, cellSpec{l, p, n, false})
-				if observed && l == wfsort.LayoutSharded {
-					cells = append(cells, cellSpec{l, p, n, true})
-				}
+	for _, p := range workers {
+		for _, n := range sizes {
+			cells = append(cells, cellSpec{p, n, false})
+			if observed {
+				cells = append(cells, cellSpec{p, n, true})
 			}
 		}
 	}
@@ -309,26 +306,32 @@ func measureMatrix(w io.Writer, cells []cellSpec, runs int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(w, "%-22s %12.0f elems/s\n", r.cell(), r.ElemsPerSec)
+		fmt.Fprintf(w, "%-22s %12.0f elems/s", r.cell(), r.ElemsPerSec)
+		if r.StdlibElemsPerSec > 0 {
+			fmt.Fprintf(w, "  slices.Sort %12.0f elems/s  ratio %.3f", r.StdlibElemsPerSec, r.ElemsPerSec/r.StdlibElemsPerSec)
+		}
+		fmt.Fprintln(w)
 		rep.Results = append(rep.Results, r)
 	}
 	return rep, nil
 }
 
 // measure times one cell: the median over runs timed wall-clock sorts
-// of a fixed pseudo-random permutation, after one untimed warmup. The
-// garbage collector is flushed before each timed run so a previous
-// cell's allocation debt cannot be charged to this one; the median
-// (rather than the minimum) keeps a single lucky run in the baseline
-// from making every later gate run look like a regression.
+// of a fixed pseudo-random permutation, after one untimed warmup. An
+// unobserved cell times slices.Sort on the same permutation in every
+// run too, alternating which of the two goes first so neither always
+// inherits the other's cache and heap state. The garbage collector is
+// flushed before each timed sort so earlier allocation debt cannot be
+// charged to it; the median (rather than the minimum) keeps a single
+// lucky run in the baseline from making every later gate run look like
+// a regression.
 func measure(c cellSpec, runs int) (Result, error) {
 	base := rand.New(rand.NewSource(int64(c.n) + int64(c.p))).Perm(c.n)
 	data := make([]int, c.n)
-	times := make([]time.Duration, 0, runs)
-	for r := 0; r <= runs; r++ {
+	kernel := func() (time.Duration, error) {
 		copy(data, base)
 		runtime.GC()
-		opts := []wfsort.Option{wfsort.WithWorkers(c.p), wfsort.WithLayout(c.layout)}
+		opts := []wfsort.Option{wfsort.WithWorkers(c.p)}
 		if c.observed {
 			// One observer per run: like the runtime, an Observer
 			// drives at most one sort.
@@ -338,23 +341,49 @@ func measure(c cellSpec, runs int) (Result, error) {
 		err := wfsort.Sort(data, opts...)
 		elapsed := time.Since(start)
 		if err != nil {
-			return Result{}, fmt.Errorf("%s/p%d/n%d: %w", c.layout, c.p, c.n, err)
+			return 0, fmt.Errorf("p%d/n%d: %w", c.p, c.n, err)
 		}
 		if !sort.IntsAreSorted(data) {
-			return Result{}, fmt.Errorf("%s/p%d/n%d: output not sorted", c.layout, c.p, c.n)
+			return 0, fmt.Errorf("p%d/n%d: output not sorted", c.p, c.n)
+		}
+		return elapsed, nil
+	}
+	stdlib := func() time.Duration {
+		copy(data, base)
+		runtime.GC()
+		start := time.Now()
+		slices.Sort(data)
+		return time.Since(start)
+	}
+	var kTimes, sTimes []time.Duration
+	for r := 0; r <= runs; r++ {
+		var s time.Duration
+		if !c.observed && r%2 == 1 {
+			s = stdlib()
+		}
+		k, err := kernel()
+		if err != nil {
+			return Result{}, err
+		}
+		if !c.observed && r%2 == 0 {
+			s = stdlib()
 		}
 		if r > 0 { // run 0 is the warmup
-			times = append(times, elapsed)
+			kTimes = append(kTimes, k)
+			sTimes = append(sTimes, s)
 		}
 	}
-	return Result{
-		Layout:      c.layout.String(),
+	res := Result{
 		P:           c.p,
 		N:           c.n,
 		Observed:    c.observed,
-		ElemsPerSec: float64(c.n) / median(times).Seconds(),
+		ElemsPerSec: float64(c.n) / median(kTimes).Seconds(),
 		Runs:        runs,
-	}, nil
+	}
+	if !c.observed {
+		res.StdlibElemsPerSec = float64(c.n) / median(sTimes).Seconds()
+	}
+	return res, nil
 }
 
 // median returns the middle element (lower-middle for even counts) of
@@ -374,8 +403,8 @@ func median(d []time.Duration) time.Duration {
 //   - absolute throughput (only between comparable hosts): the
 //     geomean of cur/base across matching cells must not fall below
 //     1 − tol;
-//   - the sharded/flat speedup (any host): the geomean of the
-//     per-(P, N) ratio change must not fall below 1 − tol;
+//   - the kernel/slices.Sort throughput ratio (any host): the geomean
+//     of the per-(P, N) ratio change must not fall below 1 − tol;
 //   - the observer overhead (any host, only when observed cells were
 //     measured): the geomean observed/unobserved throughput ratio,
 //     taken within cur alone, must not fall below 1 − tol.
@@ -414,18 +443,12 @@ func compare(base, cur *Report, tol float64) []string {
 	cells := 0
 	worst, worstCell := 1.0, ""
 	for _, c := range cur.Results {
-		if c.Layout != wfsort.LayoutSharded.String() || c.Observed {
+		b, ok := bi[c.cell()]
+		if !ok || c.StdlibElemsPerSec <= 0 || b.StdlibElemsPerSec <= 0 {
 			continue
 		}
-		flatCell := Result{Layout: wfsort.LayoutFlat.String(), P: c.P, N: c.N}.cell()
-		cf, okCF := ci[flatCell]
-		bs, okBS := bi[c.cell()]
-		bf, okBF := bi[flatCell]
-		if !okCF || !okBS || !okBF || cf.ElemsPerSec <= 0 || bf.ElemsPerSec <= 0 {
-			continue
-		}
-		curRatio := c.ElemsPerSec / cf.ElemsPerSec
-		baseRatio := bs.ElemsPerSec / bf.ElemsPerSec
+		curRatio := c.ElemsPerSec / c.StdlibElemsPerSec
+		baseRatio := b.ElemsPerSec / b.StdlibElemsPerSec
 		change := curRatio / baseRatio
 		logSum += math.Log(change)
 		cells++
@@ -436,7 +459,7 @@ func compare(base, cur *Report, tol float64) []string {
 	if cells > 0 {
 		if g := math.Exp(logSum / float64(cells)); g < 1-tol {
 			failures = append(failures, fmt.Sprintf(
-				"ratio sharded/flat: geomean %.1f%% below baseline over %d cells (worst %s)",
+				"ratio kernel/slices.Sort: geomean %.1f%% below baseline over %d cells (worst %s)",
 				100*(1-g), cells, worstCell))
 		}
 	}
@@ -447,7 +470,7 @@ func compare(base, cur *Report, tol float64) []string {
 		if !c.Observed {
 			continue
 		}
-		plain := Result{Layout: c.Layout, P: c.P, N: c.N}.cell()
+		plain := Result{P: c.P, N: c.N}.cell()
 		cp, ok := ci[plain]
 		if !ok || cp.ElemsPerSec <= 0 {
 			continue

@@ -1,7 +1,7 @@
-// Command chaos sweeps adversary policies across worker counts and
-// native arena layouts, certifying every run against the wait-freedom
-// op ceiling and cross-checking seeded crash schedules between the
-// simulator and the native runtime (see internal/chaos). It prints a
+// Command chaos sweeps adversary policies across worker counts,
+// certifying every native run against the wait-freedom op ceiling and
+// its scheduled kills, and cross-checking seeded crash schedules between
+// the simulator and the native runtime (see internal/chaos). It prints a
 // human-readable table to stderr, emits the full JSON report to stdout
 // (or -out FILE), and exits non-zero if any run failed to sort or to
 // certify.
@@ -100,18 +100,18 @@ func parsePs(s string) ([]int, error) {
 }
 
 func printTable(w io.Writer, rep *chaos.Report) {
-	fmt.Fprintf(w, "%-18s %-8s %3s %7s %8s %5s %8s %10s %6s  %s\n",
-		"policy", "layout", "p", "killed", "respawns", "surv", "maxops", "bound", "ratio", "status")
+	fmt.Fprintf(w, "%-19s %3s %6s %7s %8s %5s %8s %10s %6s  %s\n",
+		"policy", "p", "sched", "killed", "respawns", "surv", "maxops", "bound", "ratio", "status")
 	for _, r := range rep.Runs {
 		status := "ok"
-		if !r.OK() {
+		if !r.OK() || r.Killed != r.Scheduled {
 			status = "FAIL"
 			if r.Error != "" {
 				status += " " + r.Error
 			}
 		}
-		fmt.Fprintf(w, "%-18s %-8s %3d %7d %8d %5d %8d %10d %6.3f  %s\n",
-			r.Policy, r.Layout, r.P, r.Killed, r.Respawns, r.Survivors,
+		fmt.Fprintf(w, "%-19s %3d %6d %7d %8d %5d %8d %10d %6.3f  %s\n",
+			r.Policy, r.P, r.Scheduled, r.Killed, r.Respawns, r.Survivors,
 			r.MaxOps, r.Bound, float64(r.MaxOps)/float64(r.Bound), status)
 	}
 	for _, d := range rep.Differential {

@@ -43,7 +43,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
 		workers     = fs.Int("workers", 0, "sort workers per team (0 = GOMAXPROCS)")
-		variant     = fs.String("variant", "randomized", "deterministic | randomized | lowcontention")
 		seed        = fs.Uint64("seed", 0, "base seed for randomized choices")
 		maxInflight = fs.Int("max-inflight", 64, "admitted requests before 429")
 		maxKeys     = fs.Int("max-keys", 0, "request size limit before 413 (0 = largest pool class)")
@@ -73,17 +72,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	}
 
 	var opts []wfsort.Option
-	switch *variant {
-	case "deterministic":
-		opts = append(opts, wfsort.WithVariant(wfsort.Deterministic))
-	case "randomized":
-		// the default; selecting it explicitly would trip the WithPool
-		// conflict check for nothing
-	case "lowcontention":
-		opts = append(opts, wfsort.WithVariant(wfsort.LowContention))
-	default:
-		return fmt.Errorf("unknown -variant %q", *variant)
-	}
 	if *seed != 0 {
 		opts = append(opts, wfsort.WithSeed(*seed))
 	}
@@ -119,8 +107,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready chan<- string)
 	if qosCfg != nil {
 		qosNote = fmt.Sprintf("%d classes", len(qosCfg.Classes))
 	}
-	fmt.Fprintf(out, "sortd: serving on %s (workers=%d variant=%s churn=%d crash-frac=%g qos=%s)\n",
-		ln.Addr(), *workers, *variant, *churn, *crashFrac, qosNote)
+	fmt.Fprintf(out, "sortd: serving on %s (workers=%d churn=%d crash-frac=%g qos=%s)\n",
+		ln.Addr(), *workers, *churn, *crashFrac, qosNote)
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

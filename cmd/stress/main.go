@@ -1,9 +1,10 @@
 // Command stress runs a randomized correctness campaign: random input
 // sizes, worker counts, input orders, algorithm variants, schedules and
 // crash patterns, each run verified against the true ranking. Runs are
-// split between the deterministic simulator and the native goroutine
-// runtime, so the campaign covers both the proof-level machine and the
-// real-scheduler implementation. It is the long-running confidence
+// split between the deterministic simulator, which runs the paper's
+// algorithms, and the native goroutine runtime, which runs the
+// block-leaf kernel, so the campaign covers both the proof-level machine
+// and the real-scheduler implementation. It is the long-running confidence
 // builder behind the test suite's fixed cases.
 //
 // Usage:
@@ -121,10 +122,7 @@ func (c *campaign) oneSim() (string, error) {
 	label := fmt.Sprintf("sim variant=%s n=%d p=%d input=%s sched=%s seed=%d",
 		variant, n, p, input, schedName, seed)
 
-	s, a, err := layout.New(layout.Flat, variants[variant], n, p)
-	if err != nil {
-		return label, err
-	}
+	s, a := layout.Sim(variants[variant], n, p)
 	m := pram.New(pram.Config{
 		P: p, Mem: a.Size(), Seed: seed, Sched: sched,
 		Less: harness.LessFor(keys),
@@ -151,9 +149,9 @@ func (c *campaign) pickVariant(n, p int) string {
 	return variant
 }
 
-// oneNative runs one configuration on real goroutines with the
-// observability plane installed and published, so a -listen endpoint
-// always reports the most recent native run.
+// oneNative runs the kernel on real goroutines with the observability
+// plane installed and published, so a -listen endpoint always reports
+// the most recent native run.
 func (c *campaign) oneNative() (string, error) {
 	n := 8 + c.rng.Intn(c.maxN-7)
 	p := 1 + c.rng.Intn(min(16, n))
@@ -161,16 +159,9 @@ func (c *campaign) oneNative() (string, error) {
 	seed := c.rng.Uint64()
 	keys := harness.MakeKeys(input, n, seed)
 
-	variant := c.pickVariant(n, p)
-	l := layout.All()[c.rng.Intn(len(layout.All()))]
+	label := fmt.Sprintf("native kernel n=%d p=%d input=%s seed=%d", n, p, input, seed)
 
-	label := fmt.Sprintf("native variant=%s n=%d p=%d input=%s layout=%s seed=%d",
-		variant, n, p, input, l, seed)
-
-	s, alloc, err := layout.New(l, variants[variant], n, p)
-	if err != nil {
-		return label, err
-	}
+	s, alloc := layout.Native(n, p)
 
 	ob := obs.New(obs.Config{RingCap: 1024, SnapshotEvery: 256})
 	rt := native.New(native.Config{

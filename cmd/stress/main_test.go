@@ -23,7 +23,7 @@ func TestStressCampaign(t *testing.T) {
 		t.Errorf("summary missing:\n%s", out)
 	}
 	// Both runtimes must show up in the breakdown.
-	if !strings.Contains(out, "sim variant=") || !strings.Contains(out, "native variant=") {
+	if !strings.Contains(out, "sim variant=") || !strings.Contains(out, "native kernel") {
 		t.Errorf("campaign should mix sim and native runs:\n%s", out)
 	}
 }

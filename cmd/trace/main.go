@@ -1,23 +1,26 @@
 // Command trace visualizes one sort. On the simulator (the default
-// runtime) it renders the contention-over-time profile as an ASCII
-// chart or CSV — the clearest view of the paper's §3 headline: the
-// deterministic variant opens with a spike of height P while the
-// randomized variant stays flat around sqrt(P). With -runtime native
-// it runs real goroutines under the internal/obs observability plane
-// and emits a Chrome/Perfetto trace (one track per processor
-// incarnation, phase spans, CAS-failure and fault instants) that loads
-// directly in ui.perfetto.dev; -perfetto exports the simulator series
-// in the same format, so both runtimes render in the same viewer.
+// runtime) it runs the paper's algorithm chosen by -variant and renders
+// the contention-over-time profile as an ASCII chart or CSV — the
+// clearest view of the paper's §3 headline: the deterministic variant
+// opens with a spike of height P while the randomized variant stays
+// flat around sqrt(P). With -runtime native it runs the native sort,
+// the block-leaf kernel, on real goroutines under the internal/obs
+// observability plane and emits a Chrome/Perfetto trace (one track per
+// processor incarnation, phase spans, CAS-failure and fault instants)
+// that loads directly in ui.perfetto.dev; -perfetto exports the
+// simulator series in the same format, so both runtimes render in the
+// same viewer.
 //
 // Usage:
 //
 //	trace [-n 1024] [-p 0] [-variant det|rand|lowcont] [-seed 1]
-//	      [-runtime sim|native] [-layout sharded|padded|flat]
+//	      [-runtime sim|native]
 //	      [-metric contention|active] [-width 100] [-height 12]
 //	      [-csv] [-perfetto] [-out FILE]
 //
-// -p 0 means P = N on the simulator (the contention-critical regime)
-// and P = GOMAXPROCS on the native runtime.
+// -variant applies to the simulator only. -p 0 means P = N on the
+// simulator (the contention-critical regime) and P = GOMAXPROCS on the
+// native runtime.
 package main
 
 import (
@@ -26,7 +29,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
 
 	"wfsort/internal/harness"
@@ -48,10 +50,9 @@ func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	n := fs.Int("n", 1024, "input size")
 	p := fs.Int("p", 0, "processors (0 = N on sim, GOMAXPROCS on native)")
-	variant := fs.String("variant", "lowcont", "det, rand or lowcont")
+	variant := fs.String("variant", "lowcont", "simulated algorithm: det, rand or lowcont")
 	seed := fs.Uint64("seed", 1, "seed")
 	rt := fs.String("runtime", "sim", "sim or native")
-	layout := fs.String("layout", "sharded", "native arena layout: sharded, padded or flat")
 	metric := fs.String("metric", "contention", "chart metric: contention or active")
 	width := fs.Int("width", 100, "chart width")
 	height := fs.Int("height", 12, "chart height")
@@ -66,7 +67,7 @@ func run(w io.Writer, args []string) error {
 	case "sim":
 		return runSim(w, *n, *p, *variant, *seed, *metric, *width, *height, *csv, *perfetto, *regions, *out)
 	case "native":
-		return runNative(w, *n, *p, *variant, *layout, *seed, *out)
+		return runNative(w, *n, *p, *seed, *out)
 	default:
 		return fmt.Errorf("unknown runtime %q (valid: sim, native)", *rt)
 	}
@@ -82,10 +83,7 @@ func runSim(w io.Writer, n, p int, variant string, seed uint64, metric string, w
 	if !ok {
 		return fmt.Errorf("unknown variant %q", variant)
 	}
-	s, a, err := layout.New(layout.Flat, v, n, p)
-	if err != nil {
-		return err
-	}
+	s, a := layout.Sim(v, n, p)
 
 	rec := trace.NewRecorder()
 	profile := trace.NewRegionProfile(a.Regions())
@@ -120,28 +118,14 @@ func runSim(w io.Writer, n, p int, variant string, seed uint64, metric string, w
 	return nil
 }
 
-// runNative executes the sort on real goroutines under the
+// runNative executes the native sort on real goroutines under the
 // observability plane and exports the Perfetto trace.
-func runNative(w io.Writer, n, p int, variant, layoutName string, seed uint64, out string) error {
+func runNative(w io.Writer, n, p int, seed uint64, out string) error {
 	if p <= 0 {
 		p = min(runtime.GOMAXPROCS(0), n)
 	}
-	i := slices.IndexFunc(layout.All(), func(l layout.Layout) bool { return l.String() == layoutName })
-	if i < 0 {
-		return fmt.Errorf("unknown layout %q (valid: sharded, padded, flat)", layoutName)
-	}
-	v, ok := variants[variant]
-	if !ok {
-		return fmt.Errorf("unknown variant %q", variant)
-	}
-	if v == layout.LowContention && (p < 4 || n < p) {
-		return fmt.Errorf("lowcont needs p >= 4 and n >= p, got n=%d p=%d", n, p)
-	}
 	keys := harness.MakeKeys(harness.InputRandom, n, seed)
-	s, alloc, err := layout.New(layout.All()[i], v, n, p)
-	if err != nil {
-		return err
-	}
+	s, alloc := layout.Native(n, p)
 
 	ob := obs.New(obs.Config{})
 	rt := native.New(native.Config{
@@ -157,12 +141,12 @@ func runNative(w io.Writer, n, p int, variant, layoutName string, seed uint64, o
 		return fmt.Errorf("native run output is not sorted")
 	}
 	return writeTrace(w, out, obs.NewTrace().AddObserver(ob), func() {
-		fmt.Fprintf(w, "%s sort (native %s), N=%d P=%d: elapsed=%v\n%s\n",
-			variant, layoutName, n, p, rt.Elapsed, met)
+		fmt.Fprintf(w, "kernel sort (native), N=%d P=%d: elapsed=%v\n%s\n",
+			n, p, rt.Elapsed, met)
 	})
 }
 
-// variants maps the -variant names to the algorithms.
+// variants maps the -variant names to the simulated algorithms.
 var variants = map[string]layout.Variant{
 	"det": layout.Deterministic, "rand": layout.Randomized, "lowcont": layout.LowContention,
 }

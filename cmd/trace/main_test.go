@@ -72,15 +72,16 @@ func TestTraceUnknownRuntimeAndLayout(t *testing.T) {
 	if err := run(&buf, []string{"-runtime", "jvm"}); err == nil {
 		t.Fatal("unknown -runtime accepted")
 	}
-	if err := run(&buf, []string{"-runtime", "native", "-layout", "zzz"}); err == nil {
-		t.Fatal("unknown -layout accepted")
+	// The native runtime runs one sort, so there is no -layout flag.
+	if err := run(&buf, []string{"-runtime", "native", "-layout", "sharded"}); err == nil {
+		t.Fatal("removed -layout flag accepted")
 	}
 }
 
 func TestTraceNativePerfetto(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "native.json")
 	var buf bytes.Buffer
-	err := run(&buf, []string{"-runtime", "native", "-n", "256", "-p", "4", "-variant", "rand", "-out", path})
+	err := run(&buf, []string{"-runtime", "native", "-n", "256", "-p", "4", "-out", path})
 	if err != nil {
 		t.Fatalf("native trace: %v\n%s", err, buf.String())
 	}

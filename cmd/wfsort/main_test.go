@@ -61,7 +61,7 @@ func TestCLIGenerates(t *testing.T) {
 
 func TestCLIVariants(t *testing.T) {
 	for _, v := range []string{"det", "rand", "lowcont", "deterministic", "randomized", "lowcontention"} {
-		out, _, err := runCLI(t, "", "-gen", "40", "-variant", v, "-workers", "8")
+		out, _, err := runCLI(t, "", "-gen", "40", "-sim", "-variant", v, "-workers", "8")
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}

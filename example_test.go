@@ -35,7 +35,6 @@ func ExampleSort_options() {
 	data := []int{5, 2, 9, 1, 7, 3, 8, 4, 6, 0}
 	err := wfsort.Sort(data,
 		wfsort.WithWorkers(4),
-		wfsort.WithVariant(wfsort.LowContention),
 		wfsort.WithSeed(7),
 	)
 	if err != nil {

@@ -25,8 +25,7 @@ import (
 	"sort"
 	"time"
 
-	"wfsort/internal/core"
-	"wfsort/internal/model"
+	"wfsort/internal/layout"
 	"wfsort/internal/native"
 	"wfsort/internal/xrand"
 )
@@ -48,8 +47,7 @@ func main() {
 		}
 		return i < j
 	}
-	var arena model.Arena
-	sorter := core.NewSorter(&arena, n, core.AllocRandomized)
+	sorter, arena := layout.Native(n, workers)
 	rt := native.New(native.Config{P: workers, Mem: arena.Size(), Less: less})
 	sorter.Seed(rt.Memory())
 

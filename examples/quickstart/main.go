@@ -40,11 +40,10 @@ func main() {
 	}
 	fmt.Println("users:  ", users)
 
-	// Options: worker count, algorithm variant, deterministic seed.
+	// Options: worker count and deterministic seed.
 	big := rand.New(rand.NewSource(1)).Perm(100_000)
 	err = wfsort.Sort(big,
 		wfsort.WithWorkers(8),
-		wfsort.WithVariant(wfsort.LowContention),
 		wfsort.WithSeed(7),
 	)
 	if err != nil {

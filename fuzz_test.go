@@ -14,14 +14,13 @@ import (
 
 	"wfsort"
 	"wfsort/internal/chaos"
-	"wfsort/internal/layout"
 	"wfsort/internal/qos"
 	"wfsort/internal/server"
 )
 
 // FuzzSort feeds arbitrary byte strings through the full native sort
-// pipeline with fuzzer-chosen worker counts, variants, arena layouts
-// and seeds, checking two explicit invariants: the output is sorted,
+// pipeline with fuzzer-chosen worker counts and seeds, checking two
+// explicit invariants: the output is sorted,
 // and it is a permutation of the input (equal to the stdlib's sort of
 // the same multiset). When the fuzzer picks a nonzero kill fraction,
 // the same keys additionally run through the chaos harness under a
@@ -29,13 +28,13 @@ import (
 // stable-sorted reference and certify under the wait-freedom op
 // ceiling.
 func FuzzSort(f *testing.F) {
-	f.Add([]byte("hello world"), uint8(4), uint8(0), uint8(0), uint64(0), uint8(0), uint64(0))
-	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(1), uint8(1), uint64(7), uint8(0), uint64(2))
-	f.Add([]byte{255, 1, 128, 1, 255, 0}, uint8(9), uint8(2), uint8(2), uint64(3), uint8(3), uint64(5))
-	f.Add([]byte{}, uint8(3), uint8(0), uint8(2), uint64(1), uint8(1), uint64(9))
-	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(6), uint8(1), uint8(0), uint64(5), uint8(4), uint64(11))
-	f.Add(bytes.Repeat([]byte{42}, 64), uint8(8), uint8(1), uint8(0), uint64(6), uint8(7), uint64(13))
-	f.Fuzz(func(t *testing.T, raw []byte, workers, variant, lay uint8, seed uint64, killFrac uint8, faultSeed uint64) {
+	f.Add([]byte("hello world"), uint8(4), uint64(0), uint8(0), uint64(0))
+	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint64(7), uint8(0), uint64(2))
+	f.Add([]byte{255, 1, 128, 1, 255, 0}, uint8(9), uint64(3), uint8(3), uint64(5))
+	f.Add([]byte{}, uint8(3), uint64(1), uint8(1), uint64(9))
+	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(6), uint64(5), uint8(4), uint64(11))
+	f.Add(bytes.Repeat([]byte{42}, 64), uint8(8), uint64(6), uint8(7), uint64(13))
+	f.Fuzz(func(t *testing.T, raw []byte, workers uint8, seed uint64, killFrac uint8, faultSeed uint64) {
 		data := make([]int, len(raw))
 		for i, b := range raw {
 			data[i] = int(b)
@@ -45,20 +44,16 @@ func FuzzSort(f *testing.F) {
 		sort.Ints(want)
 
 		p := int(workers)%32 + 1
-		v := wfsort.Variant(variant % 3)
-		l := wfsort.Layout(lay % 3)
-		err := wfsort.Sort(data, wfsort.WithWorkers(p), wfsort.WithVariant(v),
-			wfsort.WithLayout(l), wfsort.WithSeed(seed))
-		if err != nil {
-			t.Fatalf("Sort(p=%d v=%v l=%v): %v", p, v, l, err)
+		if err := wfsort.Sort(data, wfsort.WithWorkers(p), wfsort.WithSeed(seed)); err != nil {
+			t.Fatalf("Sort(p=%d): %v", p, err)
 		}
 		if !sort.IntsAreSorted(data) {
-			t.Fatalf("p=%d v=%v l=%v input=%v: output not sorted: %v", p, v, l, raw, data)
+			t.Fatalf("p=%d input=%v: output not sorted: %v", p, raw, data)
 		}
 		for i := range want {
 			if data[i] != want[i] {
-				t.Fatalf("p=%d v=%v l=%v input=%v: position %d = %d, want %d (not a permutation)",
-					p, v, l, raw, i, data[i], want[i])
+				t.Fatalf("p=%d input=%v: position %d = %d, want %d (not a permutation)",
+					p, raw, i, data[i], want[i])
 			}
 		}
 
@@ -76,20 +71,20 @@ func FuzzSort(f *testing.F) {
 			cp := int(workers)%8 + 2
 			window := int64(len(keys) + 1)
 			spec := chaos.Spec{
-				Keys: keys, P: cp, Layout: layout.All()[lay%3], Seed: seed,
+				Keys: keys, P: cp, Seed: seed,
 				Crashes: chaos.CrashQuorum(cp, frac, window, faultSeed),
 			}
 			res, err := chaos.RunNative(spec)
 			if err != nil {
-				t.Fatalf("chaos replay(p=%d l=%v frac=%.2f): %v", cp, spec.Layout, frac, err)
+				t.Fatalf("chaos replay(p=%d frac=%.2f): %v", cp, frac, err)
 			}
 			if !res.Sorted {
-				t.Fatalf("chaos replay(p=%d l=%v frac=%.2f keys=%v): output not sorted (%s)",
-					cp, spec.Layout, frac, keys, res.Error)
+				t.Fatalf("chaos replay(p=%d frac=%.2f keys=%v): output not sorted (%s)",
+					cp, frac, keys, res.Error)
 			}
 			if !res.Certified {
-				t.Fatalf("chaos replay(p=%d l=%v frac=%.2f): max ops %d over ceiling %d",
-					cp, spec.Layout, frac, res.MaxOps, res.Bound)
+				t.Fatalf("chaos replay(p=%d frac=%.2f): max ops %d over ceiling %d",
+					cp, frac, res.MaxOps, res.Bound)
 			}
 		}
 	})

@@ -97,7 +97,7 @@ func TestSeedChangesExecution(t *testing.T) {
 }
 
 // goldenInputs enumerates the degenerate and adversarial input shapes
-// every variant and layout must handle: empty, singleton, all-equal
+// every variant and the native sort must handle: empty, singleton, all-equal
 // (one giant tie group), pre-sorted, reverse-sorted, and a fixed
 // pseudo-random permutation. The generator is a hand-rolled LCG so the
 // goldens cannot shift under a library RNG change.
@@ -219,63 +219,28 @@ func checkRanks(t *testing.T, keys []int, ranks []int) {
 	}
 }
 
-// TestSimulateLayoutInvariant pins the contract that WithLayout tunes
-// the native arena only: the simulator's execution — cost metrics and
-// ranks — must be bit-identical whatever layout is requested.
-func TestSimulateLayoutInvariant(t *testing.T) {
-	keys := goldenInputs(128)["random"]
-	base, err := wfsort.Simulate(keys, wfsort.WithWorkers(16), wfsort.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range []wfsort.Layout{wfsort.LayoutSharded, wfsort.LayoutPadded, wfsort.LayoutFlat} {
-		got, err := wfsort.Simulate(keys, wfsort.WithWorkers(16), wfsort.WithSeed(3), wfsort.WithLayout(l))
-		if err != nil {
-			t.Fatalf("layout %v: %v", l, err)
-		}
-		g, b := got.Metrics, base.Metrics
-		if g.Steps != b.Steps || g.Ops != b.Ops || g.Reads != b.Reads ||
-			g.Writes != b.Writes || g.CASes != b.CASes || g.CASFailures != b.CASFailures ||
-			g.MaxContention != b.MaxContention || got.TreeDepth != base.TreeDepth {
-			t.Errorf("layout %v changed simulation: %+v vs %+v", l, g, b)
-		}
-		for i := range base.Ranks {
-			if got.Ranks[i] != base.Ranks[i] {
-				t.Fatalf("layout %v changed ranks at %d", l, i)
-			}
-		}
-	}
-}
-
-// TestNativeMatrix runs the native runtime over the full Variant x
-// Layout x input-shape matrix and verifies sorted, stable output. The
-// native runtime races real goroutines, so there is no golden — the
-// invariants are the contract.
+// TestNativeMatrix runs the native sort over the input-shape x N
+// matrix and verifies sorted, stable output. The native runtime races
+// real goroutines, so there is no golden — the invariants are the
+// contract.
 func TestNativeMatrix(t *testing.T) {
 	type rec struct{ key, pos int }
-	variants := []wfsort.Variant{wfsort.Deterministic, wfsort.Randomized, wfsort.LowContention}
-	layouts := []wfsort.Layout{wfsort.LayoutSharded, wfsort.LayoutPadded, wfsort.LayoutFlat}
 	for _, n := range []int{0, 1, 16, 128} {
 		for name, keys := range goldenInputs(n) {
-			for _, v := range variants {
-				for _, l := range layouts {
-					data := make([]rec, n)
-					for i, k := range keys {
-						data[i] = rec{key: k, pos: i}
-					}
-					err := wfsort.SortFunc(data, func(a, b rec) bool { return a.key < b.key },
-						wfsort.WithVariant(v), wfsort.WithLayout(l), wfsort.WithWorkers(4))
-					if err != nil {
-						t.Fatalf("%v/%v/%s/n%d: %v", v, l, name, n, err)
-					}
-					for i := 1; i < n; i++ {
-						if data[i-1].key > data[i].key {
-							t.Fatalf("%v/%v/%s/n%d: unsorted at %d", v, l, name, n, i)
-						}
-						if data[i-1].key == data[i].key && data[i-1].pos > data[i].pos {
-							t.Fatalf("%v/%v/%s/n%d: unstable at %d", v, l, name, n, i)
-						}
-					}
+			data := make([]rec, n)
+			for i, k := range keys {
+				data[i] = rec{key: k, pos: i}
+			}
+			err := wfsort.SortFunc(data, func(a, b rec) bool { return a.key < b.key }, wfsort.WithWorkers(4))
+			if err != nil {
+				t.Fatalf("%s/n%d: %v", name, n, err)
+			}
+			for i := 1; i < n; i++ {
+				if data[i-1].key > data[i].key {
+					t.Fatalf("%s/n%d: unsorted at %d", name, n, i)
+				}
+				if data[i-1].key == data[i].key && data[i-1].pos > data[i].pos {
+					t.Fatalf("%s/n%d: unstable at %d", name, n, i)
 				}
 			}
 		}

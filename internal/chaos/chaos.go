@@ -12,15 +12,15 @@
 //     O(N log N / P) bound, scaled by a measured constant — turning
 //     "survivors finish in bounded time" into an asserted property;
 //   - differential runs push the same model.Crash specs through
-//     internal/pram and internal/native (across every arena layout) and
-//     require identical sorted output.
+//     internal/pram and internal/native and require both sorted outputs
+//     to equal an independent stable sort (SortedRef).
 //
-// Every native run builds its sort through layout.New, the mapping the
-// root package uses, so the sharded leg certifies the block-leaf kernel
-// that wfsort runs by default and the padded and flat legs the paper's
-// pivot tree. cmd/chaos sweeps adversary policies x P x layouts and
-// emits a JSON report; the CI chaos-smoke job runs a small sweep under
-// -race.
+// Every native run lays out its sort with layout.Native and runs it on
+// a native.Team, as every wfsort sort does, so the runs certify the
+// block-leaf kernel on the driver that serves it; the simulator runs
+// the paper's graph (layout.Sim). cmd/chaos sweeps adversary policies
+// x P and emits a JSON report; the CI chaos-smoke job runs a small
+// sweep under -race.
 package chaos
 
 import (
@@ -29,7 +29,6 @@ import (
 	"math/bits"
 	"os"
 	"sort"
-	"time"
 
 	"wfsort/internal/layout"
 	"wfsort/internal/model"
@@ -53,8 +52,6 @@ type Spec struct {
 	Keys []int
 	// P is the worker count.
 	P int
-	// Layout is the native arena layout (ignored by RunPram).
-	Layout layout.Layout
 	// Seed drives the algorithm's random choices.
 	Seed uint64
 	// Crashes is the shared crash schedule: op ordinals on native,
@@ -66,10 +63,6 @@ type Spec struct {
 	Revives int
 	// Stalls are injected delays (native only).
 	Stalls []Stall
-	// LowCont runs the §3 low-contention variant on the dense arena
-	// instead of the §2 randomized sort (needs P >= 4 and N >= P; Layout
-	// does not apply — the §3 machinery has its own contention story).
-	LowCont bool
 	// TraceOut, when non-empty, attaches an internal/obs observer to
 	// the native run and, if the run fails to sort or certify, writes a
 	// Perfetto JSON postmortem trace to this path (Result.TracePath
@@ -119,8 +112,8 @@ func StallStorm(p, count int, stride int64, yields int) []Stall {
 
 // boundScale is the measured constant scaling the paper-derived op
 // ceiling (see Bound). Calibrated against the cmd/chaos sweep on the
-// reference machine (N in {1k..64k}, P in {2..16}, every policy and
-// layout): observed per-processor maxima — including lone survivors
+// reference machine (N in {1k..64k}, P in {2..16}, every policy):
+// observed per-processor maxima — including lone survivors
 // absorbing the whole sort after a massacre — sit below 0.36x the
 // ceiling, leaving ~3x headroom for scheduler variance and CAS-retry
 // inflation before certification fails.
@@ -150,13 +143,14 @@ func Bound(n int) int64 {
 
 // Result reports one certified chaos run.
 type Result struct {
-	Policy    string  `json:"policy"`
-	Variant   string  `json:"variant"`
-	Layout    string  `json:"layout"`
-	N         int     `json:"n"`
-	P         int     `json:"p"`
-	Seed      uint64  `json:"seed"`
-	Sorted    bool    `json:"sorted"`
+	Policy string `json:"policy"`
+	N      int    `json:"n"`
+	P      int    `json:"p"`
+	Seed   uint64 `json:"seed"`
+	Sorted bool   `json:"sorted"`
+	// Scheduled counts the kills the fault plan scheduled; Killed
+	// counts the kills that landed.
+	Scheduled int     `json:"scheduled_kills"`
 	Killed    int     `json:"killed"`
 	Respawns  int     `json:"respawns"`
 	Survivors int     `json:"survivors"`
@@ -240,46 +234,17 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// RunNative executes one spec on the native runtime and certifies it.
-// The returned error covers harness-level failures (a panic escaping
-// the program); sort or certification failures are reported in the
-// Result so sweeps keep going. With Spec.TraceOut set, a failing run
-// additionally leaves a Perfetto postmortem trace behind.
+// RunNative executes one spec on a one-job native.Team and certifies
+// it. The returned error covers harness-level failures (a panic
+// escaping the program); sort or certification failures are reported
+// in the Result so sweeps keep going. With Spec.TraceOut set, a failing
+// run additionally leaves a Perfetto postmortem trace behind.
 func RunNative(spec Spec) (res Result, err error) {
-	n := len(spec.Keys)
-	res = Result{
-		Layout: spec.Layout.String(), Variant: "randomized",
-		N: n, P: spec.P, Seed: spec.Seed,
-	}
-	if spec.LowCont {
-		res.Variant = "lowcontention"
-		res.Layout = "dense"
-	}
-
-	l, v := spec.Layout, layout.Randomized
-	if spec.LowCont {
-		l, v = layout.Flat, layout.LowContention
-	}
-	s, alloc, err := layout.New(l, v, n, spec.P)
-	if err != nil {
-		res.Error = err.Error()
-		return res, err
-	}
-
+	res = Result{N: len(spec.Keys), P: spec.P, Seed: spec.Seed, Scheduled: len(spec.Crashes)}
 	var observer *obs.Observer
 	if spec.TraceOut != "" {
 		observer = obs.New(obs.Config{})
 	}
-	rt := native.New(native.Config{
-		P: spec.P, Mem: alloc.Size(), Seed: spec.Seed,
-		Less: lessFor(spec.Keys), CountOps: true,
-		Adversary: adversaryOrNil(spec.plan()),
-		Observer:  observer,
-	})
-	s.Seed(rt.Memory())
-	t0 := time.Now()
-	met, err := rt.Run(s.Program())
-	res.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1000
 	defer func() {
 		// Postmortem: a run that failed to sort or certify dumps its
 		// per-incarnation event rings as a Perfetto trace, so the exact
@@ -297,63 +262,81 @@ func RunNative(spec Spec) (res Result, err error) {
 			res.TracePath = spec.TraceOut
 		}
 	}()
+	team := native.NewTeam(spec.P, true)
+	defer team.Close()
+	err = runJob(team, &res, spec.Keys, native.TeamJob{
+		Seed: spec.Seed, Adversary: adversaryOrNil(spec.plan()), Observer: observer,
+	})
+	return res, err
+}
+
+// runJob lays out the kernel for keys, runs it on team under job's
+// seed, adversary and observer, and certifies the run into res: sorted
+// output, every completion predicate of its phase graph satisfied, and
+// every worker's operation count (TeamRun.OpsPerProc) within Bound.
+func runJob(team *native.Team, res *Result, keys []int, job native.TeamJob) error {
+	k, a := layout.Native(len(keys), team.P())
+	mem := make([]model.Word, a.Size())
+	k.Seed(mem)
+	job.Graph, job.Mem, job.Less = k.Graph(), mem, lessFor(keys)
+	run := team.Start(job)
+	met, err := run.Wait()
+	res.ElapsedMS = float64(run.Elapsed.Microseconds()) / 1000
 	if err != nil {
 		res.Error = err.Error()
-		return res, err
+		return err
 	}
-
 	res.Killed = met.Killed
 	res.Respawns = met.Respawns
 	res.Stalls = met.InjectedStalls
-	res.Survivors = spec.P - met.Killed + met.Respawns
-	res.Sized, res.Placed = s.Progress(rt.Memory())
+	res.Survivors = res.P - met.Killed + met.Respawns
+	res.Sized, res.Placed = k.Progress(mem)
 
-	out, perr := outputOf(spec.Keys, s.Places(rt.Memory()))
-	res.Sorted = perr == nil && equalInts(out, SortedRef(spec.Keys))
+	out, perr := outputOf(keys, k.Places(mem))
+	res.Sorted = perr == nil && equalInts(out, SortedRef(keys))
 	if perr != nil {
 		res.Error = perr.Error()
 	}
+	if name := k.Graph().FirstUndone(mem); name != "" && res.Error == "" {
+		res.Error = fmt.Sprintf("phase %q predicate unsatisfied after completion", name)
+		res.Sorted = false
+	}
 
-	res.Bound = Bound(n)
-	res.MaxOps = 0
-	for _, ops := range rt.OpsPerProc() {
-		if ops > res.MaxOps {
-			res.MaxOps = ops
-		}
+	res.Bound = Bound(len(keys))
+	for _, o := range run.OpsPerProc() {
+		res.MaxOps = max(res.MaxOps, o)
 	}
 	res.Certified = res.MaxOps <= res.Bound
-	return res, nil
+	return nil
 }
 
 // ResidentSpec scales the resident-team chaos battery: Jobs sorts of
-// N keys, laid out for Layout, run one after another on one resident
-// team of P workers, and every even-numbered job is struck by a seeded
-// crash quorum killing roughly Frac of the workers (pid 0 spared, no
-// revival) within their first residentKillWindow operations.
+// N keys run one after another on one resident team of P workers, and
+// every even-numbered job is struck by a seeded crash quorum killing
+// roughly Frac of the workers (pid 0 spared, no revival) within their
+// first killWindow operations.
 type ResidentSpec struct {
 	N, P, Jobs int
-	Layout     layout.Layout
 	Seed       uint64
 	Frac       float64
 }
 
-// residentKillWindow bounds the op ordinals of the resident battery's
-// kills. A worker that starts after its peers finished a kernel sort
-// executes only about ten operations, reading done marks on its way
-// out, so a kill drawn from a window of N ordinals often never lands
-// on a loaded host and the struck job certifies nothing; every worker
-// reaches this many.
-const residentKillWindow = 8
+// killWindow bounds the op ordinals of every scheduled native kill, so
+// every kill lands. A worker that starts after its peers finished a
+// kernel sort only reads done marks on its way out: 4 operations up to
+// N = 64, 6 up to 256, 10 up to 512 and 22-58 at 1024-4096. A kill
+// drawn from a window of N ordinals therefore often never lands on a
+// loaded host, and the struck run certifies nothing. Every worker
+// executes at least 4 operations at any N, so ordinals 0-3 always land.
+const killWindow = 4
 
 // RunResident is the serving-regime counterpart of RunNative: it
-// certifies wait-freedom across job boundaries on the resident team
-// that runs every pooled sort, not just within one sort. Each job is
-// certified on its own: sorted output, every completion predicate of
-// its phase graph satisfied, and the per-processor op ceiling
-// (TeamRun.OpsPerProc against Bound). The struck jobs prove the
-// survivors finish without the dead; the faultless jobs between them
-// prove the team is back at full strength without a goroutine ever
-// respawning, because a kill unwinds only the graph, not the worker.
+// certifies wait-freedom across job boundaries on one resident team,
+// not just within one sort. Each job is certified on its own, as
+// RunNative certifies its one job. The struck jobs prove the survivors
+// finish without the dead; the faultless jobs between them prove the
+// team is back at full strength without a goroutine ever respawning,
+// because a kill unwinds only the graph, not the worker.
 func RunResident(spec ResidentSpec) ([]Result, error) {
 	if spec.Jobs < 1 {
 		spec.Jobs = 1
@@ -364,56 +347,20 @@ func RunResident(spec ResidentSpec) ([]Result, error) {
 	results := make([]Result, 0, spec.Jobs)
 	for j := 0; j < spec.Jobs; j++ {
 		keys := randKeys(spec.N, spec.Seed+uint64(j)*0x9e37)
-		s, a, err := layout.New(spec.Layout, layout.Randomized, spec.N, spec.P)
-		if err != nil {
-			return results, err
-		}
-		mem := make([]model.Word, a.Size())
-		s.Seed(mem)
-		job := native.TeamJob{
-			Graph: s.Graph(), Mem: mem, Less: lessFor(keys),
-			Seed: spec.Seed + uint64(j),
-		}
+		job := native.TeamJob{Seed: spec.Seed + uint64(j)}
+		res := Result{Policy: "resident-crash-half", N: spec.N, P: spec.P, Seed: job.Seed}
 		if j%2 == 0 && spec.Frac > 0 {
-			crashes := CrashQuorum(spec.P, spec.Frac, residentKillWindow, spec.Seed+uint64(13*j+7))
+			crashes := CrashQuorum(spec.P, spec.Frac, killWindow, spec.Seed+uint64(13*j+7))
 			if len(crashes) > 0 {
 				job.Adversary = native.NewPlan().AddCrashes(crashes)
 			}
+			res.Scheduled = len(crashes)
 		}
-		res := Result{
-			Policy: "resident-crash-half", Variant: "randomized", Layout: spec.Layout.String(),
-			N: spec.N, P: spec.P, Seed: spec.Seed + uint64(j),
-		}
-		run := team.Start(job)
-		met, werr := run.Wait()
-		if werr != nil {
-			res.Error = werr.Error()
-			results = append(results, res)
-			return results, werr
-		}
-		res.ElapsedMS = float64(run.Elapsed.Microseconds()) / 1000
-		res.Killed = met.Killed
-		res.Respawns = met.Respawns
-		res.Stalls = met.InjectedStalls
-		res.Survivors = spec.P - met.Killed + met.Respawns
-		res.Sized, res.Placed = s.Progress(mem)
-
-		out, perr := outputOf(keys, s.Places(mem))
-		res.Sorted = perr == nil && equalInts(out, SortedRef(keys))
-		if perr != nil {
-			res.Error = perr.Error()
-		}
-		if name := s.Graph().FirstUndone(mem); name != "" && res.Error == "" {
-			res.Error = fmt.Sprintf("phase %q predicate unsatisfied after completion", name)
-			res.Sorted = false
-		}
-
-		res.Bound = Bound(spec.N)
-		for _, ops := range run.OpsPerProc() {
-			res.MaxOps = max(res.MaxOps, ops)
-		}
-		res.Certified = res.MaxOps <= res.Bound
+		err := runJob(team, &res, keys, job)
 		results = append(results, res)
+		if err != nil {
+			return results, err
+		}
 	}
 	return results, nil
 }
@@ -427,18 +374,10 @@ func adversaryOrNil(pl *native.Plan) model.Adversary {
 }
 
 // RunPram executes the spec's crash schedule on the simulator (Crash
-// Step read as a machine step, the dense paper layout) and returns the
-// sorted output.
+// Step read as a machine step) with the paper's randomized pivot tree
+// and returns the sorted output.
 func RunPram(spec Spec) ([]int, *model.Metrics, error) {
-	n := len(spec.Keys)
-	v := layout.Randomized
-	if spec.LowCont {
-		v = layout.LowContention
-	}
-	s, a, err := layout.New(layout.Flat, v, n, spec.P)
-	if err != nil {
-		return nil, nil, err
-	}
+	s, a := layout.Sim(layout.Randomized, len(spec.Keys), spec.P)
 	var sched pram.Scheduler
 	if len(spec.Crashes) > 0 {
 		sched = pram.WithCrashes(pram.Synchronous(), spec.Crashes)
@@ -460,9 +399,9 @@ func RunPram(spec Spec) ([]int, *model.Metrics, error) {
 }
 
 // Differential runs one seeded crash schedule through the simulator and
-// through the native runtime on every arena layout, and errors unless
-// all four sorted outputs are identical and correct — the cross-runtime
-// consistency check behind the repo's central claim.
+// through the native runtime, and errors unless both sorted outputs
+// equal the stable-sorted reference and the native run certifies — the
+// cross-runtime consistency check behind the repo's central claim.
 func Differential(keys []int, p int, seed uint64, crashes []model.Crash) error {
 	ref := SortedRef(keys)
 	spec := Spec{Keys: keys, P: p, Seed: seed, Crashes: crashes}
@@ -474,19 +413,16 @@ func Differential(keys []int, p int, seed uint64, crashes []model.Crash) error {
 	if !equalInts(simOut, ref) {
 		return fmt.Errorf("pram output differs from the stable-sorted reference")
 	}
-	for _, l := range layout.All() {
-		spec.Layout = l
-		res, err := RunNative(spec)
-		if err != nil {
-			return fmt.Errorf("native %v run: %w", l, err)
-		}
-		if !res.Sorted {
-			return fmt.Errorf("native %v output differs from the reference (%s)", l, res.Error)
-		}
-		if !res.Certified {
-			return fmt.Errorf("native %v exceeded the op ceiling: max ops %d > bound %d (survivors %d)",
-				l, res.MaxOps, res.Bound, res.Survivors)
-		}
+	res, err := RunNative(spec)
+	if err != nil {
+		return fmt.Errorf("native run: %w", err)
+	}
+	if !res.Sorted {
+		return fmt.Errorf("native output differs from the reference (%s)", res.Error)
+	}
+	if !res.Certified {
+		return fmt.Errorf("native run exceeded the op ceiling: max ops %d > bound %d (survivors %d)",
+			res.MaxOps, res.Bound, res.Survivors)
 	}
 	return nil
 }
@@ -515,29 +451,22 @@ func Policies() []Policy {
 	}
 }
 
-// BuildSpec instantiates a policy for one (keys, P, layout, seed) cell.
-// The crash window is the input size in per-processor ops (native) or
-// machine steps (pram) — early enough that kills land mid-run.
-func BuildSpec(keys []int, p int, l layout.Layout, seed uint64, pol Policy) Spec {
-	window := int64(len(keys))
-	spec := Spec{Keys: keys, P: p, Layout: l, Seed: seed, Revives: pol.Revives}
+// BuildSpec instantiates a policy for one (keys, P, seed) cell of the
+// native sweep. Kills fall within each worker's first killWindow
+// operations, so every scheduled kill lands; stalls spread over a
+// window of the input size in per-worker operations.
+func BuildSpec(keys []int, p int, seed uint64, pol Policy) Spec {
+	spec := Spec{Keys: keys, P: p, Seed: seed, Revives: pol.Revives}
 	switch {
 	case pol.AllButOne:
-		spec.Crashes = Massacre(p, window)
+		spec.Crashes = Massacre(p, killWindow)
 	case pol.Frac > 0:
-		spec.Crashes = CrashQuorum(p, pol.Frac, window, seed+0x9e37)
+		spec.Crashes = CrashQuorum(p, pol.Frac, killWindow, seed+0x9e37)
 	}
 	if pol.StallStorm {
-		spec.Stalls = StallStorm(p, 8, max64(window/16, 8), 64)
+		spec.Stalls = StallStorm(p, 8, max(int64(len(keys))/16, 8), 64)
 	}
 	return spec
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SweepOptions scales the chaos sweep.
@@ -562,10 +491,12 @@ type Report struct {
 	TracePath    string   `json:"trace,omitempty"`
 }
 
-// Sweep runs every adversary policy x P x layout cell plus one
-// differential check per P, certifying each run. It only returns an
-// error for harness-level failures; sort/certification failures are
-// collected in Report.Failures.
+// Sweep runs every adversary policy x P cell, one differential check
+// per P and the resident-team battery per P, certifying each run. A
+// run fails when it does not sort or certify, or when the kills that
+// landed differ from the kills its plan scheduled. Sweep only returns
+// an error for harness-level failures; run failures are collected in
+// Report.Failures.
 func Sweep(o SweepOptions) (*Report, error) {
 	if o.N == 0 {
 		o.N = 4096
@@ -580,29 +511,30 @@ func Sweep(o SweepOptions) (*Report, error) {
 		}
 	}
 	rep := &Report{N: o.N, Seed: o.Seed}
+	record := func(label string, res Result) {
+		rep.Runs = append(rep.Runs, res)
+		if !res.OK() || res.Killed != res.Scheduled {
+			rep.Failures = append(rep.Failures, fmt.Sprintf(
+				"%s: sorted=%v certified=%v (max ops %d / bound %d) kills %d/%d scheduled %s",
+				label, res.Sorted, res.Certified, res.MaxOps, res.Bound, res.Killed, res.Scheduled, res.Error))
+		}
+	}
 	keys := randKeys(o.N, o.Seed)
 	for _, pol := range Policies() {
 		for _, p := range o.Ps {
-			for _, l := range layout.All() {
-				spec := BuildSpec(keys, p, l, o.Seed, pol)
-				if rep.TracePath == "" {
-					// Until a failure is captured, observe every run so
-					// the first one to fail leaves its postmortem.
-					spec.TraceOut = o.TraceOut
-				}
-				res, err := RunNative(spec)
-				if err != nil {
-					return rep, fmt.Errorf("policy %s p=%d layout=%v: %w", pol.Name, p, l, err)
-				}
-				res.Policy = pol.Name
-				rep.Runs = append(rep.Runs, res)
-				rep.TracePath = cmp.Or(rep.TracePath, res.TracePath)
-				if !res.OK() {
-					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"policy %s p=%d layout=%v: sorted=%v certified=%v (max ops %d / bound %d) %s",
-						pol.Name, p, l, res.Sorted, res.Certified, res.MaxOps, res.Bound, res.Error))
-				}
+			spec := BuildSpec(keys, p, o.Seed, pol)
+			if rep.TracePath == "" {
+				// Until a failure is captured, observe every run so
+				// the first one to fail leaves its postmortem.
+				spec.TraceOut = o.TraceOut
 			}
+			res, err := RunNative(spec)
+			if err != nil {
+				return rep, fmt.Errorf("policy %s p=%d: %w", pol.Name, p, err)
+			}
+			res.Policy = pol.Name
+			rep.TracePath = cmp.Or(rep.TracePath, res.TracePath)
+			record(fmt.Sprintf("policy %s p=%d", pol.Name, p), res)
 		}
 	}
 	// Cross-runtime differential, one seeded crash quorum per P.
@@ -612,32 +544,25 @@ func Sweep(o SweepOptions) (*Report, error) {
 		if err := Differential(keys, p, o.Seed, crashes); err != nil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("differential %s: %v", label, err))
 		} else {
-			rep.Differential = append(rep.Differential, label+": identical output on pram and all native layouts")
+			rep.Differential = append(rep.Differential, label+": identical output on pram and native")
 		}
 	}
-	// Resident-team battery per P and layout: crash-half striking
-	// alternate jobs of a stream of sorts on one resident team.
+	// Resident-team battery per P: crash-half striking alternate jobs
+	// of a stream of sorts on one resident team.
 	jobs := 4
 	if o.Quick {
 		jobs = 3
 	}
 	for _, p := range o.Ps {
-		for _, l := range layout.All() {
-			rrs, err := RunResident(ResidentSpec{
-				N: o.N, P: p, Jobs: jobs, Layout: l,
-				Seed: o.Seed + uint64(p)*101, Frac: 0.5,
-			})
-			if err != nil {
-				return rep, fmt.Errorf("resident p=%d layout=%v: %w", p, l, err)
-			}
-			for j, res := range rrs {
-				rep.Runs = append(rep.Runs, res)
-				if !res.OK() {
-					rep.Failures = append(rep.Failures, fmt.Sprintf(
-						"resident p=%d layout=%v job=%d: sorted=%v certified=%v (max ops %d / bound %d) %s",
-						p, l, j, res.Sorted, res.Certified, res.MaxOps, res.Bound, res.Error))
-				}
-			}
+		rrs, err := RunResident(ResidentSpec{
+			N: o.N, P: p, Jobs: jobs,
+			Seed: o.Seed + uint64(p)*101, Frac: 0.5,
+		})
+		if err != nil {
+			return rep, fmt.Errorf("resident p=%d: %w", p, err)
+		}
+		for j, res := range rrs {
+			record(fmt.Sprintf("resident p=%d job=%d", p, j), res)
 		}
 	}
 	rep.OK = len(rep.Failures) == 0

@@ -4,14 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"wfsort/internal/layout"
 	"wfsort/internal/model"
 )
 
 // TestDifferentialCrashSchedule is the cross-runtime acceptance check:
 // the same seeded crash schedule pushed through the simulator and the
-// native runtime on every arena layout yields identical, correct sorted
-// output at P in {2, 4, 8}.
+// native runtime yields identical, correct sorted output at P in
+// {2, 4, 8}.
 func TestDifferentialCrashSchedule(t *testing.T) {
 	keys := randKeys(1024, 0xd1ff)
 	for _, p := range []int{2, 4, 8} {
@@ -33,28 +32,28 @@ func TestDifferentialFaultless(t *testing.T) {
 	}
 }
 
-// TestMassacreCertifies kills every processor but one on each layout;
-// the lone mandated survivor must still finish under the op ceiling.
+// TestMassacreCertifies kills every processor but one; every kill must
+// land, and the lone mandated survivor must still finish under the op
+// ceiling.
 func TestMassacreCertifies(t *testing.T) {
 	keys := randKeys(1024, 3)
-	for _, l := range layout.All() {
-		spec := Spec{Keys: keys, P: 4, Layout: l, Seed: 9, Crashes: Massacre(4, 256)}
-		res, err := RunNative(spec)
-		if err != nil {
-			t.Fatalf("layout %v: %v", l, err)
-		}
-		if !res.Sorted {
-			t.Errorf("layout %v: output not sorted (%s)", l, res.Error)
-		}
-		if !res.Certified {
-			t.Errorf("layout %v: max ops %d exceeds bound %d", l, res.MaxOps, res.Bound)
-		}
-		if res.Killed == 0 {
-			t.Errorf("layout %v: massacre landed no kills", l)
-		}
-		if res.Sized != len(keys) || res.Placed != len(keys) {
-			t.Errorf("layout %v: progress sized=%d placed=%d, want %d", l, res.Sized, res.Placed, len(keys))
-		}
+	const p = 4
+	spec := BuildSpec(keys, p, 9, Policy{Name: "crash-all-but-one", AllButOne: true})
+	res, err := RunNative(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Sorted {
+		t.Errorf("output not sorted (%s)", res.Error)
+	}
+	if !res.Certified {
+		t.Errorf("max ops %d exceeds bound %d", res.MaxOps, res.Bound)
+	}
+	if res.Killed != p-1 || res.Scheduled != p-1 {
+		t.Errorf("killed %d of %d scheduled, want %d", res.Killed, res.Scheduled, p-1)
+	}
+	if res.Sized != len(keys) || res.Placed != len(keys) {
+		t.Errorf("progress sized=%d placed=%d, want %d", res.Sized, res.Placed, len(keys))
 	}
 }
 
@@ -91,7 +90,7 @@ func TestRunResidentCrashHalf(t *testing.T) {
 // adversaries end to end via BuildSpec.
 func TestReviveAndStallPolicies(t *testing.T) {
 	keys := randKeys(1024, 11)
-	revive := BuildSpec(keys, 4, layout.Padded, 5, Policy{Name: "crash-revive", Frac: 0.5, Revives: 1})
+	revive := BuildSpec(keys, 4, 5, Policy{Name: "crash-revive", Frac: 0.5, Revives: 1})
 	res, err := RunNative(revive)
 	if err != nil {
 		t.Fatalf("crash-revive: %v", err)
@@ -99,11 +98,11 @@ func TestReviveAndStallPolicies(t *testing.T) {
 	if !res.OK() {
 		t.Errorf("crash-revive not OK: sorted=%v certified=%v err=%q", res.Sorted, res.Certified, res.Error)
 	}
-	if res.Killed > 0 && res.Respawns == 0 {
-		t.Errorf("crash-revive: %d kills landed but no respawns", res.Killed)
+	if res.Killed != res.Scheduled || res.Respawns != res.Killed {
+		t.Errorf("crash-revive: %d of %d scheduled kills landed, %d respawns", res.Killed, res.Scheduled, res.Respawns)
 	}
 
-	storm := BuildSpec(keys, 4, layout.Flat, 5, Policy{Name: "stall-storm", StallStorm: true})
+	storm := BuildSpec(keys, 4, 5, Policy{Name: "stall-storm", StallStorm: true})
 	res, err = RunNative(storm)
 	if err != nil {
 		t.Fatalf("stall-storm: %v", err)
@@ -113,25 +112,6 @@ func TestReviveAndStallPolicies(t *testing.T) {
 	}
 	if res.Stalls == 0 {
 		t.Errorf("stall-storm injected no stalls")
-	}
-}
-
-// TestLowContentionVariant runs the §3 sort under a crash quorum.
-func TestLowContentionVariant(t *testing.T) {
-	keys := randKeys(512, 13)
-	spec := Spec{
-		Keys: keys, P: 4, Seed: 17, LowCont: true,
-		Crashes: CrashQuorum(4, 0.5, 256, 99),
-	}
-	res, err := RunNative(spec)
-	if err != nil {
-		t.Fatalf("RunNative: %v", err)
-	}
-	if !res.OK() {
-		t.Errorf("lowcont not OK: sorted=%v certified=%v err=%q", res.Sorted, res.Certified, res.Error)
-	}
-	if res.Variant != "lowcontention" {
-		t.Errorf("variant = %q, want lowcontention", res.Variant)
 	}
 }
 
@@ -207,9 +187,8 @@ func TestSweepQuick(t *testing.T) {
 	if !rep.OK {
 		t.Fatalf("sweep failures:\n%s", strings.Join(rep.Failures, "\n"))
 	}
-	// policy x P x layout cells, plus the resident battery's 4 jobs per
-	// P and layout.
-	wantRuns := (len(Policies()) + 4) * 2 * len(layout.All())
+	// policy x P cells, plus the resident battery's 4 jobs per P.
+	wantRuns := (len(Policies()) + 4) * 2
 	if len(rep.Runs) != wantRuns {
 		t.Errorf("sweep produced %d runs, want %d", len(rep.Runs), wantRuns)
 	}

@@ -68,10 +68,7 @@ func TestKernelFaultBattery(t *testing.T) {
 			for seed := uint64(1); seed <= 2; seed++ {
 				for name, plan := range kernelPlans(p, n, seed*977+uint64(n+p)) {
 					t.Run(fmt.Sprintf("p%d/n%d/%s/%d", p, n, name, seed), func(t *testing.T) {
-						s, a, err := layout.New(layout.Sharded, layout.Randomized, n, p)
-						if err != nil {
-							t.Fatal(err)
-						}
+						s, a := layout.Native(n, p)
 						rt := native.New(native.Config{
 							P: p, Mem: a.Size(), Seed: seed, Less: lessFor(keys),
 							CountOps: true, Adversary: plan,

@@ -23,7 +23,8 @@ import (
 // backpressure; and after the drain, the coordinator's per-backend
 // accepted-shard counters are cross-checked against each backend
 // server's own shard_ok ledger — the two sides of the certification
-// seam must agree on exactly how much work was accepted.
+// seam must agree on how much work was accepted, up to the attempts
+// that reached a backend and failed at the coordinator.
 func TestClusterSoak(t *testing.T) {
 	horizonMs, rate := 8_000.0, 60.0
 	if testing.Short() {
@@ -166,25 +167,31 @@ func TestClusterSoak(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	// Coordinator-vs-backend ledger cross-check: every shard the
+	// Coordinator-vs-backend ledger cross-check. Every shard the
 	// coordinator accepted was a backend /shard success, so each
 	// backend's own shard_ok counter must be at least the coordinator's
-	// accepted count for it (a backend may have sorted a shard whose
-	// sort was later abandoned client-side, never the reverse), and
-	// with zero abandoned sorts the two sides must agree exactly.
+	// accepted count for it. A backend may count more: an attempt that
+	// reached it and then failed at the coordinator (ShardTimeout fired
+	// after the backend finished the sort, or the reply was rejected)
+	// is a shard error there, redispatched and accepted elsewhere, yet
+	// may be a shard_ok here. A killed backend's refusals are shard
+	// errors that never reached it. With zero failed sorts every
+	// attempt is one or the other, so the excess is at most the shard
+	// errors that reached the backend, and exactly zero when none did.
 	st = c.Stats()
 	for i, srv := range servers {
 		coordOK := st.Backends[i].ShardsOK
 		backendOK := srv.Stats().ShardOK
+		reached := st.Backends[i].ShardErrors - kills[i].Refused()
 		if backendOK < coordOK {
 			t.Errorf("backend %d: server shard_ok=%d < coordinator accepted=%d — accepted work the backend never did",
 				i, backendOK, coordOK)
 		}
-		if st.SortErrors == 0 && backendOK != coordOK {
-			t.Errorf("backend %d: server shard_ok=%d != coordinator accepted=%d with no failed sorts",
-				i, backendOK, coordOK)
+		if st.SortErrors == 0 && backendOK > coordOK+reached {
+			t.Errorf("backend %d: server shard_ok=%d > coordinator accepted=%d + %d failed attempts that reached it, with no failed sorts",
+				i, backendOK, coordOK, reached)
 		}
-		t.Logf("backend %d: coordinator accepted %d, server shard_ok %d, downs %d",
-			i, coordOK, backendOK, st.Backends[i].Downs)
+		t.Logf("backend %d: coordinator accepted %d, server shard_ok %d, shard errors %d (refused %d), downs %d",
+			i, coordOK, backendOK, st.Backends[i].ShardErrors, kills[i].Refused(), st.Backends[i].Downs)
 	}
 }

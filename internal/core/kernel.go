@@ -32,9 +32,10 @@ import (
 // region: a straggler still merging round r reads round r-1's region,
 // which nothing writes again. DESIGN §17 gives the whole argument.
 //
-// The kernel replaces the pivot tree on the sharded layout only; the
-// padded and flat layouts and the simulator keep the paper's graph as
-// the certified reference the chaos differentials compare against.
+// The kernel is the only sort native code runs (see internal/layout).
+// The paper's pivot tree runs only in the simulator, where its step
+// counts and contention are measured exactly; the chaos differentials
+// check both runtimes against an independent stable sort.
 type Kernel struct {
 	n     int
 	block int // ids per leaf block: even, so half-block segments tile every merge pair
@@ -332,3 +333,6 @@ func (k *Kernel) progressScan(mem []Word, load func(*Word) Word) (published, pla
 	}
 	return published, placed
 }
+
+func plainLoad(w *Word) Word  { return *w }
+func atomicLoad(w *Word) Word { return atomic.LoadInt64(w) }

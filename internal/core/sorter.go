@@ -37,13 +37,13 @@
 // bottom-up DONE marks in exactly this way, so this is the paper's own
 // repair applied to the deterministic variant.
 //
-// The package also holds Kernel (kernel.go), the block-leaf sort the
-// native runtime's default layout runs in place of the pivot tree.
+// The package also holds Kernel (kernel.go), the block-leaf sort native
+// code runs in place of the pivot tree; the pivot tree itself runs only
+// in the simulator.
 package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"wfsort/internal/engine"
 	"wfsort/internal/model"
@@ -477,58 +477,28 @@ func (s *Sorter) findPlace(p model.Proc, i int, sub Word, d int) {
 // Places(mem)[i-1] is element i's position in sorted order.
 func (s *Sorter) Places(mem []Word) []int {
 	ranks := make([]int, s.n)
-	s.PlacesInto(mem, ranks)
-	return ranks
-}
-
-// PlacesInto is Places without the allocation: it fills dst[i-1] with
-// element i's rank for the first min(n, len(dst)) elements. The pooled
-// serving layer (internal/pool) calls it with a context-owned scratch
-// slice so steady-state sorts never allocate rank tables.
-func (s *Sorter) PlacesInto(mem []Word, dst []int) {
-	n := min(s.n, len(dst))
-	for i := 1; i <= n; i++ {
-		dst[i-1] = int(mem[s.place.At(i)])
+	for i := range ranks {
+		ranks[i] = int(mem[s.place.At(i+1)])
 	}
+	return ranks
 }
 
 // Progress reports, host-side, how far a run got through phases 2 and
 // 3: the number of elements whose subtree size is installed and the
 // number whose rank is installed. After any completed run — faultless
 // or not — both equal N; a partial count is the forensic trail of a run
-// that lost every worker, which is what the chaos certifier reports
-// when a fault schedule proves too aggressive.
+// that lost every processor.
 func (s *Sorter) Progress(mem []Word) (sized, placed int) {
-	return s.progressScan(mem, plainLoad)
-}
-
-// LiveProgress is Progress for a run still in flight: the same counts
-// read with atomic loads, so the observability plane's /metrics
-// endpoint can poll it from the host while workers write concurrently
-// without a data race. The counts are momentary — phases 2 and 3
-// install sizes and places monotonically, so successive polls are
-// nondecreasing.
-func (s *Sorter) LiveProgress(mem []Word) (sized, placed int) {
-	return s.progressScan(mem, atomicLoad)
-}
-
-// progressScan is the one phase-2/3 progress loop, parameterized by
-// load discipline: plain loads on quiescent memory (Progress), atomic
-// loads while workers are in flight (LiveProgress).
-func (s *Sorter) progressScan(mem []Word, load func(*Word) Word) (sized, placed int) {
 	for i := 1; i <= s.n; i++ {
-		if load(&mem[s.size.At(i)]) != model.Empty {
+		if mem[s.size.At(i)] != model.Empty {
 			sized++
 		}
-		if load(&mem[s.place.At(i)]) != model.Empty {
+		if mem[s.place.At(i)] != model.Empty {
 			placed++
 		}
 	}
 	return sized, placed
 }
-
-func plainLoad(w *Word) Word  { return *w }
-func atomicLoad(w *Word) Word { return atomic.LoadInt64(w) }
 
 // Output extracts the shuffled result: Output(mem)[r] is the element id
 // with rank r+1.

@@ -39,7 +39,6 @@ func All() []Experiment {
 		{"E15", "omnipotent adversary forces O(P) contention", E15Adversary},
 		{"E16", "work inflation under asynchrony (paper's open question)", E16AsyncWork},
 		{"E17", "QRQW-clock comparison", E17QRQW},
-		{"E18", "CAS failure rate on real hardware", E18NativeCAS},
 		{"E20", "chaos sweep: fault injection on the native runtime", E20Chaos},
 	}
 }

@@ -1,8 +1,9 @@
-// Package layout is the one mapping from a native sort configuration —
-// arena layout, algorithm variant, input size and worker count — to the
-// sort laid out for it. The root package, the chaos certifier and the
-// native-runtime CLIs all build their sorts here, so the sort cmd/chaos
-// certifies on a layout is the sort wfsort runs on it.
+// Package layout builds every sort the repository runs, so the sort
+// cmd/chaos certifies is the sort wfsort runs. Native code runs one
+// sort, the block-leaf kernel on a cache-line padded arena (Native).
+// The paper's graphs, the §2 pivot tree and the §3 low-contention sort,
+// run only in the simulator, on its dense arena (Sim), where their step
+// counts and contention are measured exactly.
 package layout
 
 import (
@@ -12,44 +13,10 @@ import (
 	"wfsort/internal/lowcont"
 	"wfsort/internal/model"
 	"wfsort/internal/native"
-	"wfsort/internal/pool"
-	"wfsort/internal/sizeclass"
 )
 
-// Layout selects a native sort's arena layout and, with it, the kernel
-// that runs on the arena. The values match wfsort.Layout.
-type Layout int
-
-// Native layouts, default first.
-const (
-	// Sharded runs the block-leaf kernel (core.Kernel) on a padded arena.
-	Sharded Layout = iota
-	// Padded runs the paper's pivot-tree graph on a cache-line padded
-	// arena.
-	Padded
-	// Flat runs the paper's pivot-tree graph on the simulator's dense
-	// arena, as-is.
-	Flat
-)
-
-// String returns the layout's mnemonic.
-func (l Layout) String() string {
-	switch l {
-	case Sharded:
-		return "sharded"
-	case Padded:
-		return "padded"
-	case Flat:
-		return "flat"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
-// All lists every layout, default first.
-func All() []Layout { return []Layout{Sharded, Padded, Flat} }
-
-// Variant selects the algorithm. The values match wfsort.Variant.
+// Variant selects the paper's algorithm in the simulator. The values
+// match wfsort.Variant.
 type Variant int
 
 // Algorithm variants.
@@ -59,60 +26,45 @@ const (
 	LowContention
 )
 
-// Runner is a sort laid out in its arena: the pool's runner contract
-// plus the host-side readers the certifier and the CLIs use.
-type Runner interface {
-	pool.Runner
-	// Places returns every element's 1-based rank after a run.
-	Places(mem []model.Word) []int
-	// Progress counts, on quiescent memory, the elements the first phase
-	// has handled and the elements ranked; both equal N after a run.
-	Progress(mem []model.Word) (first, placed int)
-	// LiveProgress is Progress with atomic loads, for a run in flight.
-	LiveProgress(mem []model.Word) (first, placed int)
+// Native lays out the block-leaf kernel for n >= 1 elements and
+// workers goroutines on a padded arena, and returns both.
+func Native(n, workers int) (*core.Kernel, *native.Arena) {
+	a := native.NewArena()
+	return core.NewKernel(a, n, workers), a
 }
 
-// New lays out a sort of n >= 1 elements for workers goroutines and
-// returns it with the arena it was laid out in.
-//
-// Deterministic and Randomized run the block-leaf kernel on Sharded,
-// where the §2.3 allocation choice has nothing to choose, and the
-// paper's pivot tree with the matching allocation on Padded and Flat.
-// LowContention runs the §3 sort, claiming sizeclass.Batch elements per
-// job on Sharded; it needs 4 workers and n >= workers, and below that
-// runs Randomized.
-func New(l Layout, v Variant, n, workers int) (Runner, model.Allocator, error) {
-	var a model.Allocator
-	switch l {
-	case Sharded, Padded:
-		a = native.NewArena(native.Padded)
-	case Flat:
-		a = &model.Arena{}
-	default:
-		return nil, nil, fmt.Errorf("unknown layout %v", l)
-	}
-	if v == LowContention && (workers < 4 || n < workers) {
+// SimRunner is one of the paper's graphs laid out in the simulator's
+// arena, with the host-side readers its callers use after a run.
+type SimRunner interface {
+	// Seed writes the initial state into zeroed memory.
+	Seed(mem []model.Word)
+	// Program returns the per-processor sort program.
+	Program() model.Program
+	// Places returns every element's 1-based rank after a run.
+	Places(mem []model.Word) []int
+	// Depth returns the depth of the pivot tree the run built.
+	Depth(mem []model.Word) int
+}
+
+// Sim lays out variant v's graph for n >= 1 elements and workers
+// simulated processors on a dense model.Arena, and returns both.
+// Deterministic and Randomized run the §2 pivot tree with the matching
+// work allocation. LowContention runs the §3 sort; it needs 4 workers
+// and n >= workers, and below that runs Randomized.
+func Sim(v Variant, n, workers int) (SimRunner, *model.Arena) {
+	a := &model.Arena{}
+	switch v {
+	case Deterministic:
+		return core.NewSorter(a, n, core.AllocWAT), a
+	case LowContention:
+		if workers >= 4 && n >= workers {
+			return lowcont.New(a, n, workers), a
+		}
 		// Below the §3 regime the deterministic contention bound O(P)
 		// is small anyway.
-		v = Randomized
+		fallthrough
+	case Randomized:
+		return core.NewSorter(a, n, core.AllocRandomized), a
 	}
-	switch v {
-	case Deterministic, Randomized:
-		if l == Sharded {
-			return core.NewKernel(a, n, workers), a, nil
-		}
-		alloc := core.AllocWAT
-		if v == Randomized {
-			alloc = core.AllocRandomized
-		}
-		return core.NewSorter(a, n, alloc), a, nil
-	case LowContention:
-		batch := 1
-		if l == Sharded {
-			batch = sizeclass.Batch(n, workers)
-		}
-		return lowcont.NewTuned(a, n, workers, batch), a, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown variant %d", int(v))
-	}
+	panic(fmt.Sprintf("layout: unknown variant %d", int(v)))
 }

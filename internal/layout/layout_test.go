@@ -5,56 +5,43 @@ import (
 
 	"wfsort/internal/core"
 	"wfsort/internal/lowcont"
-	"wfsort/internal/model"
-	"wfsort/internal/native"
 )
 
-// TestNewMapping pins the layout × variant → sort table: the kernel on
-// the sharded layout for both §2 variants, the pivot tree on padded and
-// flat, the §3 sort wherever its regime holds, and the arenas.
+// TestNewMapping pins the two constructors: Native always lays out the
+// kernel on a padded arena, and Sim lays out the paper's graph for the
+// variant, running LowContention as Randomized below the §3 regime.
 func TestNewMapping(t *testing.T) {
+	k, a := Native(1000, 4)
+	if k == nil || a.Size() == 0 || len(a.Regions()) == 0 {
+		t.Fatalf("Native: kernel %v on an arena of %d words", k, a.Size())
+	}
 	for _, c := range []struct {
-		l       Layout
-		v       Variant
-		n, p    int
-		kind    string
-		padded  bool
-		wantErr bool
+		v    Variant
+		n, p int
+		kind string
 	}{
-		{Sharded, Deterministic, 1000, 4, "kernel", true, false},
-		{Sharded, Randomized, 1000, 4, "kernel", true, false},
-		{Padded, Randomized, 1000, 4, "pivot", true, false},
-		{Flat, Deterministic, 1000, 4, "pivot", false, false},
-		{Sharded, LowContention, 1000, 4, "lowcont", true, false},
-		{Flat, LowContention, 1000, 4, "lowcont", false, false},
-		{Sharded, LowContention, 1000, 2, "kernel", true, false}, // below the §3 regime
-		{Flat, LowContention, 3, 4, "pivot", false, false},       // n < P
-		{Layout(7), Randomized, 10, 2, "", false, true},
-		{Sharded, Variant(9), 10, 2, "", false, true},
+		{Deterministic, 1000, 4, "pivot"},
+		{Randomized, 1000, 4, "pivot"},
+		{LowContention, 1000, 4, "lowcont"},
+		{LowContention, 1000, 2, "pivot"}, // below the §3 regime
+		{LowContention, 3, 4, "pivot"},    // n < P
 	} {
-		r, a, err := New(c.l, c.v, c.n, c.p)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("%v/%d: accepted", c.l, c.v)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%v/%d: %v", c.l, c.v, err)
-		}
+		r, a := Sim(c.v, c.n, c.p)
 		var kind string
 		switch r.(type) {
-		case *core.Kernel:
-			kind = "kernel"
 		case *core.Sorter:
 			kind = "pivot"
 		case *lowcont.Sorter:
 			kind = "lowcont"
 		}
-		na, padded := a.(*native.Arena)
-		padded = padded && na.Layout() == native.Padded
-		if _, dense := a.(*model.Arena); kind != c.kind || padded != c.padded || (!padded && !dense) {
-			t.Errorf("%v/%d n=%d p=%d: got %s on %T, want %s (padded %v)", c.l, c.v, c.n, c.p, kind, a, c.kind, c.padded)
+		if kind != c.kind || a.Size() == 0 {
+			t.Errorf("Sim(%d) n=%d p=%d: got %s on %d words, want %s", c.v, c.n, c.p, kind, a.Size(), c.kind)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Sim accepted an unknown variant")
+		}
+	}()
+	Sim(Variant(9), 10, 2)
 }

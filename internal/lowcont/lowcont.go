@@ -84,14 +84,8 @@ type Sorter struct {
 
 	table   *core.Sorter // global element table (no WATs)
 	sumDone model.Region // phase-2 completion marks per element
-	glue    *lcwat.Tree  // glue-phase work assignment (ceil(n/batch) jobs, §3.2 uses LC-WATs)
-	shuf    *lcwat.Tree  // low-contention shuffle (ceil(n/batch) jobs)
-
-	// batch is the number of elements claimed per glue/shuffle job
-	// (>= 1). 1 is the paper-faithful one-element-per-job granularity the
-	// simulator runs; larger batches amortize the LC-WAT probe traffic on
-	// the native sharded layout (see layout.New).
-	batch int
+	glue    *lcwat.Tree  // glue-phase work assignment (N jobs, §3.2 uses LC-WATs)
+	shuf    *lcwat.Tree  // low-contention shuffle (N jobs)
 
 	fillRounds    int
 	fallbackAfter int
@@ -101,30 +95,14 @@ type Sorter struct {
 	graph *engine.Graph
 }
 
-// New lays out the Section 3 sorter in the arena. The allocator decides
-// physical placement: the simulator's dense model.Arena reproduces the
-// paper's accounting, while the native padded arenas keep the winner
-// tree, fat-tree duplicates and LC-WAT tops off each other's cache
-// lines.
+// New lays out the Section 3 sorter in the arena, one element per glue
+// and shuffle job, the paper's accounting the simulator goldens pin.
 func New(a model.Allocator, n, p int) *Sorter {
-	return NewTuned(a, n, p, 1)
-}
-
-// NewTuned is New with a batched work-claim granularity: the glue and
-// shuffle LC-WATs cover ceil(n/batch) jobs of batch consecutive
-// elements each, so workers touch the trees' contended nodes batch
-// times less often. batch <= 1 reproduces New exactly (one element
-// per job, the paper-faithful accounting the simulator goldens pin
-// down); larger batches are only ever used by the native fast path.
-func NewTuned(a model.Allocator, n, p, batch int) *Sorter {
 	if p < 4 {
 		panic("lowcont: need at least 4 processors (use core below that)")
 	}
 	if n < p {
 		panic(fmt.Sprintf("lowcont: need n >= p, got n=%d p=%d", n, p))
-	}
-	if batch < 1 {
-		batch = 1
 	}
 	g := int(math.Sqrt(float64(p)))
 	fatLevels := max(1, bits.Len(uint(g))-1)
@@ -136,7 +114,6 @@ func NewTuned(a model.Allocator, n, p, batch int) *Sorter {
 		fatNodes:      1<<fatLevels - 1,
 		fatLevels:     fatLevels,
 		dup:           g,
-		batch:         batch,
 		fillRounds:    bits.Len(uint(p)),
 		fallbackAfter: 16 * (bits.Len(uint(n)) + 2),
 	}
@@ -158,8 +135,8 @@ func NewTuned(a model.Allocator, n, p, batch int) *Sorter {
 	s.fat = a.Named("fat", s.fatNodes*s.dup)
 	s.table = core.NewTableNamed(a, n, "glob.")
 	s.sumDone = a.Named("glob.sumdone", n+1)
-	s.glue = lcwat.NewNamed(a, "glue", ceilDiv(n, batch))
-	s.shuf = lcwat.NewNamed(a, "shuffle", ceilDiv(n, batch))
+	s.glue = lcwat.NewNamed(a, "glue", n)
+	s.shuf = lcwat.NewNamed(a, "shuffle", n)
 	s.buildGraph()
 	return s
 }
@@ -280,7 +257,7 @@ func (s *Sorter) buildGraph() {
 		Name: "D:glue",
 		Body: func(p model.Proc, st any) {
 			ls := st.(*lcState)
-			s.glue.Run(p, func(j int) { s.glueSpan(p, ls.w, j) })
+			s.glue.Run(p, func(j int) { s.glueJob(p, ls.w, j+1) })
 			// Learn the global root (the winner's median sample) through
 			// a random fat duplicate — every processor needs it, so
 			// reading the winner's slice directly here would concentrate
@@ -302,7 +279,13 @@ func (s *Sorter) buildGraph() {
 	})
 	g.Add(engine.Phase{
 		Name: "G:shuffle",
-		Body: func(p model.Proc, st any) { s.shuf.Run(p, s.shuffleSpan(p)) },
+		Body: func(p model.Proc, st any) {
+			s.shuf.Run(p, func(j int) {
+				elem := j + 1
+				r := p.Read(s.table.PlaceAddr(elem))
+				p.Write(s.table.OutAddr(int(r)-1), Word(elem))
+			})
+		},
 		Done: func(mem []Word) bool {
 			for r := 0; r < s.n; r++ {
 				if mem[s.table.OutAddr(r)] == model.Empty {
@@ -315,44 +298,8 @@ func (s *Sorter) buildGraph() {
 	s.graph = g
 }
 
-// glueSpan runs the glue insertion for every element of glue job j:
-// elements j*batch+1 .. min((j+1)*batch, n). With batch == 1 job j
-// covers exactly element j+1, the seed mapping.
-func (s *Sorter) glueSpan(p model.Proc, w, j int) {
-	lo := j*s.batch + 1
-	hi := min(lo+s.batch-1, s.n)
-	for e := lo; e <= hi; e++ {
-		s.glueJob(p, w, e)
-	}
-}
-
-// shuffleSpan returns the shuffle job body: publish the output slot of
-// every element of job j, at the same batched granularity as glueSpan.
-func (s *Sorter) shuffleSpan(p model.Proc) func(j int) {
-	return func(j int) {
-		lo := j*s.batch + 1
-		hi := min(lo+s.batch-1, s.n)
-		for elem := lo; elem <= hi; elem++ {
-			r := p.Read(s.table.PlaceAddr(elem))
-			p.Write(s.table.OutAddr(int(r)-1), Word(elem))
-		}
-	}
-}
-
 // Places extracts every element's final 1-based rank after a run.
 func (s *Sorter) Places(mem []Word) []int { return s.table.Places(mem) }
-
-// PlacesInto is Places without the allocation (see core.Sorter.PlacesInto).
-func (s *Sorter) PlacesInto(mem []Word, dst []int) { s.table.PlacesInto(mem, dst) }
-
-// Progress reports, host-side, how many elements have an installed
-// subtree size and rank — the same certifier-facing counters the §2
-// sorter surfaces (see core.Sorter.Progress).
-func (s *Sorter) Progress(mem []Word) (sized, placed int) { return s.table.Progress(mem) }
-
-// LiveProgress is Progress with atomic reads, safe to poll from the
-// host while a native run is in flight (see core.Sorter.LiveProgress).
-func (s *Sorter) LiveProgress(mem []Word) (sized, placed int) { return s.table.LiveProgress(mem) }
 
 // Output extracts the element ids in sorted order after a run.
 func (s *Sorter) Output(mem []Word) []int { return s.table.Output(mem) }
@@ -666,6 +613,3 @@ func ceilPow2(n int) int {
 	}
 	return 1 << bits.Len(uint(n-1))
 }
-
-// ceilDiv returns ceil(a/b) for positive b.
-func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wfsort/internal/chaos"
+	"wfsort/internal/core"
 	"wfsort/internal/layout"
 	"wfsort/internal/model"
 	"wfsort/internal/native"
@@ -82,6 +83,38 @@ func (t phaseTap) Phase(name string) {
 	}
 }
 
+// sortProgram is a sort laid out in an arena, as the tests drive it.
+type sortProgram interface {
+	Seed(mem []model.Word)
+	Program() model.Program
+	Places(mem []model.Word) []int
+}
+
+// testLayouts are the sorts the driver tests run, each with the size of
+// its arena: "sharded" is the block-leaf kernel every native sort runs,
+// on its padded arena; "padded" and "flat" are the paper's randomized
+// pivot tree, on a padded Arena and on the simulator's dense arena. The
+// pivot tree's helping and CAS races are the harsher test of the
+// driver's kill, respawn and op accounting.
+var testLayouts = []struct {
+	name  string
+	build func(n, p int) (sortProgram, int)
+}{
+	{"sharded", func(n, p int) (sortProgram, int) {
+		s, a := layout.Native(n, p)
+		return s, a.Size()
+	}},
+	{"padded", func(n, p int) (sortProgram, int) {
+		a := native.NewArena()
+		s := core.NewSorter(a, n, core.AllocRandomized)
+		return s, a.Size()
+	}},
+	{"flat", func(n, p int) (sortProgram, int) {
+		s, a := layout.Sim(layout.Randomized, n, p)
+		return s, a.Size()
+	}},
+}
+
 // TestRespawnDuringPhase3AllLayouts kills a worker at its first
 // operation inside phase 3 — the pivot tree's find_place, the kernel's
 // merge rounds — and lets the adversary revive it, on every layout. The
@@ -91,15 +124,12 @@ func TestRespawnDuringPhase3AllLayouts(t *testing.T) {
 	const n, p = 512, 4
 	keys := testKeys(n, 3)
 	want := hostRanks(keys)
-	for _, l := range layout.All() {
-		t.Run(l.String(), func(t *testing.T) {
-			s, a, err := layout.New(l, layout.Randomized, n, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, l := range testLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			s, size := l.build(n, p)
 			adv := &phase3Adversary{victim: 1}
 			rt := native.New(native.Config{
-				P: p, Mem: a.Size(), Seed: 7, CountOps: true,
+				P: p, Mem: size, Seed: 7, CountOps: true,
 				Less: lessFor(keys), Adversary: adv,
 			})
 			s.Seed(rt.Memory())
@@ -139,18 +169,15 @@ func TestKillAllButOneEveryLayout(t *testing.T) {
 	const n, p = 512, 4
 	keys := testKeys(n, 5)
 	want := hostRanks(keys)
-	for _, l := range layout.All() {
-		t.Run(l.String(), func(t *testing.T) {
-			s, a, err := layout.New(l, layout.Randomized, n, p)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, l := range testLayouts {
+		t.Run(l.name, func(t *testing.T) {
+			s, size := l.build(n, p)
 			plan := native.NewPlan()
 			for pid := 1; pid < p; pid++ {
 				plan.KillAt(pid, int64(2*pid+1))
 			}
 			rt := native.New(native.Config{
-				P: p, Mem: a.Size(), Seed: 11, CountOps: true,
+				P: p, Mem: size, Seed: 11, CountOps: true,
 				Less: lessFor(keys), Adversary: plan,
 			})
 			s.Seed(rt.Memory())

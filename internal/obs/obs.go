@@ -90,8 +90,8 @@ func New(cfg Config) *Observer {
 func (o *Observer) now() int64 { return int64(time.Since(o.start)) }
 
 // SetProgress installs a live progress probe — typically a closure over
-// core.Sorter.LiveProgress or lowcont.Sorter.LiveProgress and the
-// runtime's memory — surfaced by the /metrics endpoint. The probe is
+// core.Kernel.LiveProgress and the runtime's memory — surfaced by the
+// /metrics endpoint. The probe is
 // called from the serving goroutine concurrently with the run, so it
 // must only use atomic reads.
 func (o *Observer) SetProgress(f func() (sized, placed int)) {

@@ -13,7 +13,7 @@ func testConfig() Config {
 	return Config{
 		Build: func(capacity int) (Runner, model.Allocator, error) {
 			var a model.Arena
-			s := core.NewSorter(&a, capacity, core.AllocRandomized)
+			s := core.NewKernel(&a, capacity, 1)
 			return s, &a, nil
 		},
 	}
@@ -120,7 +120,7 @@ func TestOversize(t *testing.T) {
 		Build: func(capacity int) (Runner, model.Allocator, error) {
 			var a model.Arena
 			// A flat allocation keeps the huge request cheap for the test.
-			s := core.NewSorter(&a, capacity, core.AllocRandomized)
+			s := core.NewKernel(&a, capacity, 1)
 			return s, &a, nil
 		},
 	})

@@ -39,8 +39,9 @@ type Config struct {
 	// Workers is the sort parallelism per pooled team (default
 	// GOMAXPROCS, via wfsort).
 	Workers int
-	// Options is appended to the pool configuration — variant, layout,
-	// seed, fault planes (WithChurn/WithCrashes for soak and E22 runs).
+	// Options is appended to the pool configuration — seed and fault
+	// planes (WithChurn/WithCrashes for soak and E22 runs). The pool
+	// runs the native sort, so WithVariant has no effect here.
 	Options []wfsort.Option
 	// PipelineDepth is accepted and ignored: every sort borrows a
 	// resident team of its own (see wfsort.WithPipeline).

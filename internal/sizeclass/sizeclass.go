@@ -1,11 +1,9 @@
 // Package sizeclass centralizes the sizing policy shared by the
 // pooled sort contexts (internal/pool, wfsort.Pool) and the serving
-// tiers above them. Before this package existed the
-// work-claim batch size lived in the root package and every consumer
-// of "how big should the arena be" invented its own answer; pooling
-// makes the sizing load-bearing (a pooled context's capacity decides
-// which requests it can serve), so there is exactly one copy of the
-// rules and a unit test pins the class boundaries.
+// tiers above them. Pooling makes the sizing load-bearing (a pooled
+// context's capacity decides which requests it can serve), so there is
+// exactly one copy of the rules and a unit test pins the class
+// boundaries.
 package sizeclass
 
 import "fmt"
@@ -90,20 +88,4 @@ func CheckLimit(n, limit int) (ok bool, msg string) {
 		return true, ""
 	}
 	return false, fmt.Sprintf("n=%d exceeds the %d-key limit", n, limit)
-}
-
-// Batch picks the work-claim granularity of the §3 sort's LC-WAT jobs
-// on the native sharded layout: large enough to amortize the trees'
-// probe traffic, small enough that every worker still sees at least a
-// few blocks to claim. Wait-freedom never depends on the choice — a
-// block is just a bigger idempotent job.
-func Batch(n, workers int) int {
-	b := n / (4 * workers)
-	if b > 128 {
-		b = 128
-	}
-	if b < 1 {
-		b = 1
-	}
-	return b
 }

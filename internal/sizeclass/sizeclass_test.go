@@ -42,30 +42,6 @@ func TestClassBoundaries(t *testing.T) {
 	}
 }
 
-// TestBatchBoundaries locks the work-claim granularity at its three
-// regimes: clamped to 1 for small inputs, proportional in the middle,
-// capped at 128 for large ones. Both the one-shot sort and the pooled
-// contexts call this exact function, which is the point.
-func TestBatchBoundaries(t *testing.T) {
-	cases := []struct{ n, workers, want int }{
-		{1, 1, 1},
-		{3, 1, 1},         // n/(4w) < 1 clamps up
-		{4, 1, 1},         // exactly 1
-		{8, 1, 2},         // proportional
-		{512, 1, 128},     // exactly at cap
-		{513, 1, 128},     // capped
-		{1 << 20, 8, 128}, // capped at scale
-		{1024, 8, 32},     // proportional at P=8
-		{4096, 64, 16},    // proportional at P=64
-		{100, 64, 1},      // many workers, little work
-	}
-	for _, c := range cases {
-		if got := Batch(c.n, c.workers); got != c.want {
-			t.Errorf("Batch(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
-		}
-	}
-}
-
 // TestLimitAndCheckLimit locks the one shared 413 rule: zero config
 // means the surface default, and every path emits the same message.
 func TestLimitAndCheckLimit(t *testing.T) {

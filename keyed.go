@@ -32,8 +32,8 @@ func Int64Key(k int64) uint64 { return uint64(k) ^ (1 << 63) }
 // copying element payloads: only the extracted uint64 keys enter the
 // sort arena, and a permutation cycle-walk reorders data afterwards.
 // key is called once per element before sorting begins and must be
-// pure. All one-shot options (variant, layout, seed, fault planes)
-// apply as in SortFunc.
+// pure. All one-shot options (workers, seed, fault planes) apply as in
+// SortFunc.
 func SortKeyed[T any](data []T, key func(T) uint64, opts ...Option) error {
 	n := len(data)
 	if key == nil {

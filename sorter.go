@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wfsort/internal/layout"
 	"wfsort/internal/model"
 	"wfsort/internal/native"
 	"wfsort/internal/pool"
@@ -32,9 +33,9 @@ type PoolStats = pool.Stats
 // battered by WithChurn or WithCrashes is back at full strength for
 // its next job.
 //
-// The sort configuration (workers, variant, layout, seed, faults) is
-// fixed per pool — contexts are only interchangeable because every
-// sort uses the same arena layout. All methods are safe for concurrent
+// The sort configuration (workers, seed, faults) is fixed per pool —
+// contexts are only interchangeable because every sort uses the same
+// worker count. All methods are safe for concurrent
 // use; concurrent sorts each borrow their own context and team, and
 // run at once unless WithQueuePolicy puts them in a queue.
 type Pool struct {
@@ -74,8 +75,8 @@ func NewPool(opts ...Option) (*Pool, error) {
 		PerClassIdle: 4,
 		Shards:       min(c.workers, 4),
 		Build: func(capacity int) (pool.Runner, model.Allocator, error) {
-			r, a, err := newRunner(capacity, c, c.layout)
-			return r, a, err
+			k, a := layout.Native(capacity, c.workers)
+			return k, a, nil
 		},
 	})
 	if err != nil {
@@ -118,7 +119,7 @@ func sorterPool(opts []Option) (p *Pool, owned bool, err error) {
 // pool instead of owning one. The sorter inherits the pool's entire
 // configuration; combining WithPool with any other option is an error
 // (the pool's contexts were laid out for its configuration, so a
-// different variant or worker count cannot be honored).
+// different worker count cannot be honored).
 func WithPool(p *Pool) Option {
 	return func(c *config) { c.pool = p; c.explicit |= setPool }
 }
@@ -187,11 +188,8 @@ func (p *Pool) getCtx(n int) (pc *pool.Ctx, exact bool, err error) {
 		pc, err = p.ctxs.Get(n)
 		return pc, false, err
 	}
-	r, a, err := newRunner(n, p.c, p.c.layout)
-	if err != nil {
-		return nil, true, err
-	}
-	return pool.NewCtx(n, r, a), true, nil
+	k, a := layout.Native(n, p.c.workers)
+	return pool.NewCtx(n, k, a), true, nil
 }
 
 // putCtx returns a context unless the pool has been closed.

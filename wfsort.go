@@ -13,21 +13,20 @@
 //
 // Two execution modes are exposed:
 //
-//   - Sort and SortFunc run on real goroutines over sync/atomic shared
-//     state — a usable parallel sort whose workers may be reaped at
-//     any time (examples/oskernel demonstrates live reap and respawn).
-//   - Simulate runs the same algorithm on a deterministic CRCW PRAM
-//     simulator with exact step counts, per-variable contention
-//     accounting and crash injection — the research instrument behind
-//     EXPERIMENTS.md.
+//   - Sort, SortFunc and the pooled sorters run on real goroutines over
+//     sync/atomic shared state — a usable parallel sort whose workers
+//     may be reaped at any time (examples/oskernel demonstrates live
+//     reap and respawn). They run one sort, a block-leaf kernel: the
+//     paper's work-assignment trees hand out blocks to sort privately
+//     and merge segments to write, so it keeps the paper's wait-freedom
+//     while its jobs suit hardware caches.
+//   - Simulate runs the paper's own algorithms (see Variant) on a
+//     deterministic CRCW PRAM simulator with exact step counts,
+//     per-variable contention accounting and crash injection — the
+//     research instrument behind EXPERIMENTS.md.
 //
-// Both modes share one algorithm implementation; only the Proc runtime
-// differs. The exception is the default native layout, LayoutSharded,
-// which runs a block-leaf kernel instead of the pivot tree: the same
-// work-assignment trees hand out blocks to sort privately and merge
-// segments to write, so it keeps the paper's wait-freedom while its
-// jobs suit hardware caches (see Layout). Sorting is stable: equal
-// elements keep their input order (the paper's index tie-break).
+// Sorting is stable: equal elements keep their input order (the
+// paper's index tie-break).
 package wfsort
 
 import (
@@ -44,14 +43,15 @@ import (
 	"wfsort/internal/xrand"
 )
 
-// Variant selects which of the paper's algorithms runs.
+// Variant selects which of the paper's algorithms Simulate runs.
+// Native sorts always run the block-leaf kernel and ignore it.
 type Variant int
 
 // Algorithm variants.
 const (
 	// Deterministic is the Section 2 algorithm with deterministic
-	// work-assignment trees. Fastest in practice; its pivot tree
-	// degenerates on already-sorted inputs.
+	// work-assignment trees. Its pivot tree degenerates on
+	// already-sorted inputs.
 	Deterministic Variant = iota
 	// Randomized is the Section 2 algorithm with the §2.3 randomized
 	// work allocation: the pivot tree is O(log N) deep w.h.p. for any
@@ -78,39 +78,6 @@ func (v Variant) String() string {
 	}
 }
 
-// Layout selects what the native (real-goroutine) runtime runs and how
-// it places shared state in memory. The simulator ignores it: Simulate
-// always runs the paper's graph on the dense layout, so simulated step
-// counts and contention never depend on this option.
-type Layout int
-
-// Native arena layouts.
-const (
-	// LayoutSharded is the default and the fastest: the block-leaf
-	// kernel on a cache-line padded arena. Work-assignment trees hand out
-	// fixed blocks that each worker sorts in private scratch, then merge
-	// rounds write every element's rank. It keeps the paper's
-	// wait-freedom and crash tolerance, but not its pivot tree, so the
-	// §2.3 allocation choice (Deterministic vs Randomized) does not
-	// apply on it.
-	LayoutSharded Layout = iota
-	// LayoutPadded runs the paper's pivot-tree graph with its
-	// per-element claims and operation sequence, on an arena that aligns
-	// structures to cache lines and pads hot words (work-tree tops, the
-	// pivot root).
-	LayoutPadded
-	// LayoutFlat runs the paper's pivot-tree graph on the dense simulator
-	// layout, as-is on hardware — the seed behavior, kept as the
-	// benchmark baseline.
-	LayoutFlat
-)
-
-// String returns the layout's mnemonic.
-func (l Layout) String() string { return layout.Layout(l).String() }
-
-// Layouts lists every native arena layout, fastest first.
-func Layouts() []Layout { return []Layout{LayoutSharded, LayoutPadded, LayoutFlat} }
-
 // Metrics re-exports the run cost report shared by both runtimes.
 type Metrics = model.Metrics
 
@@ -133,7 +100,6 @@ func NewObserver() *Observer { return obs.New(obs.Config{}) }
 const (
 	setWorkers = 1 << iota
 	setVariant
-	setLayout
 	setSeed
 	setObserver
 	setSchedule
@@ -145,8 +111,7 @@ const (
 
 type config struct {
 	workers     int
-	variant     Variant
-	layout      Layout
+	variant     Variant // simulation only
 	seed        uint64
 	sched       pram.Scheduler     // simulation only
 	observer    *obs.Observer      // native only
@@ -168,22 +133,12 @@ func WithWorkers(p int) Option {
 	return func(c *config) { c.workers = p; c.explicit |= setWorkers }
 }
 
-// WithVariant selects the algorithm variant. Defaults to Randomized.
-// On the default LayoutSharded, Deterministic and Randomized both run
-// the block-leaf kernel, which has no pivot tree for the §2.3
-// allocation to shape; the choice matters on LayoutPadded, LayoutFlat
-// and in Simulate. LowContention runs the §3 sort on every layout.
+// WithVariant selects the paper's algorithm Simulate runs. Defaults
+// to Randomized. Simulation only: native sorts and pools run the
+// block-leaf kernel, which has no pivot tree for the variant to shape,
+// and ignore it, as they ignore WithSchedule.
 func WithVariant(v Variant) Option {
 	return func(c *config) { c.variant = v; c.explicit |= setVariant }
-}
-
-// WithLayout selects the native layout (see Layout). Defaults to
-// LayoutSharded, the block-leaf kernel; LayoutPadded and LayoutFlat run
-// the paper's pivot tree, where WithVariant's allocation choice
-// applies. Simulation only ever uses the dense paper layout; Simulate
-// ignores this option.
-func WithLayout(l Layout) Option {
-	return func(c *config) { c.layout = l; c.explicit |= setLayout }
 }
 
 // WithSeed fixes the seed behind all randomized choices, making
@@ -255,8 +210,8 @@ func applyOptions(opts []Option) (config, error) {
 	if c.workers < 1 {
 		return c, fmt.Errorf("wfsort: workers must be >= 1, got %d", c.workers)
 	}
-	if c.layout < LayoutSharded || c.layout > LayoutFlat {
-		return c, fmt.Errorf("wfsort: unknown layout %v", c.layout)
+	if c.variant < Deterministic || c.variant > LowContention {
+		return c, fmt.Errorf("wfsort: unknown variant %v", c.variant)
 	}
 	if c.churnKills < 0 {
 		return c, fmt.Errorf("wfsort: churn kills must be >= 0, got %d", c.churnKills)
@@ -315,18 +270,6 @@ func (c config) adversary(seq uint64) model.Adversary {
 		}
 	}
 	return pl
-}
-
-// newRunner lays out one sort of n elements for the configuration's
-// layout, variant and worker count (see layout.New). Exact-size and
-// pooled contexts and Simulate (which always asks for the dense Flat
-// layout) all build here.
-func newRunner(n int, c config, l Layout) (layout.Runner, model.Allocator, error) {
-	r, a, err := layout.New(layout.Layout(l), layout.Variant(c.variant), n, c.workers)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wfsort: %w", err)
-	}
-	return r, a, nil
 }
 
 // Sort sorts data in place using wait-free parallel workers. It is
@@ -388,12 +331,7 @@ func Simulate(keys []int, opts ...Option) (*SimResult, error) {
 		}
 		return i < j
 	}
-	// The dense Flat layout is the paper-faithful arena the simulator's
-	// accounting is defined on, whatever layout the options ask for.
-	r, a, err := newRunner(n, c, LayoutFlat)
-	if err != nil {
-		return nil, err
-	}
+	r, a := layout.Sim(layout.Variant(c.variant), n, c.workers)
 	m := pram.New(pram.Config{P: c.workers, Mem: a.Size(), Seed: c.seed, Sched: c.sched, Less: less})
 	r.Seed(m.Memory())
 	met, err := m.Run(r.Program())
@@ -403,6 +341,6 @@ func Simulate(keys []int, opts ...Option) (*SimResult, error) {
 	return &SimResult{
 		Ranks:     r.Places(m.Memory()),
 		Metrics:   met,
-		TreeDepth: r.(interface{ Depth([]model.Word) int }).Depth(m.Memory()),
+		TreeDepth: r.Depth(m.Memory()),
 	}, nil
 }

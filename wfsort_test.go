@@ -1,11 +1,17 @@
 package wfsort
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"wfsort/internal/core"
+	"wfsort/internal/layout"
+	"wfsort/internal/lowcont"
+	"wfsort/internal/native"
 	"wfsort/internal/pram"
 )
 
@@ -67,39 +73,6 @@ func TestSortFuncIsStable(t *testing.T) {
 		}
 		if data[i-1].key == data[i].key && data[i-1].tag > data[i].tag {
 			t.Fatalf("stability violated at %d: tags %d, %d", i, data[i-1].tag, data[i].tag)
-		}
-	}
-}
-
-func TestSortAllVariants(t *testing.T) {
-	for _, v := range []Variant{Deterministic, Randomized, LowContention} {
-		data := make([]int, 2000)
-		rng := rand.New(rand.NewSource(int64(v)))
-		for i := range data {
-			data[i] = rng.Intn(5000)
-		}
-		if err := Sort(data, WithVariant(v), WithWorkers(8), WithSeed(42)); err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if !sort.IntsAreSorted(data) {
-			t.Errorf("%v: not sorted", v)
-		}
-	}
-}
-
-func TestSortSortedInputAllVariants(t *testing.T) {
-	// Pre-sorted input is the adversarial case for the deterministic
-	// pivot tree; all variants must still be correct.
-	for _, v := range []Variant{Deterministic, Randomized, LowContention} {
-		data := make([]int, 1500)
-		for i := range data {
-			data[i] = i
-		}
-		if err := Sort(data, WithVariant(v), WithWorkers(6)); err != nil {
-			t.Fatalf("%v: %v", v, err)
-		}
-		if !sort.IntsAreSorted(data) {
-			t.Errorf("%v: not sorted", v)
 		}
 	}
 }
@@ -257,11 +230,56 @@ func TestSortLargeInputs(t *testing.T) {
 	}
 }
 
+// testLayouts names the arenas the property tests run a sort in.
+// "sharded" is the library's native sort: SortFunc, which runs the
+// block-leaf kernel on its padded arena and ignores the variant.
+// "padded" and "flat" run the variant's paper graph — the graph
+// Simulate measures — on real goroutines, in a cache-line padded
+// native.Arena or in the simulator's dense model.Arena, so the graphs
+// stay checked under true concurrency as well as under the simulator's
+// schedules.
+var testLayouts = []string{"sharded", "padded", "flat"}
+
+// sortInLayout sorts data by less with variant v and p workers in the
+// named test layout.
+func sortInLayout[E any](l string, data []E, less func(a, b E) bool, v Variant, p int, seed uint64) error {
+	n := len(data)
+	if l == "sharded" {
+		return SortFunc(data, less, WithVariant(v), WithWorkers(p), WithSeed(seed))
+	}
+	if n == 0 {
+		return nil
+	}
+	var g layout.SimRunner
+	var size int
+	if l == "flat" {
+		s, a := layout.Sim(layout.Variant(v), n, p)
+		g, size = s, a.Size()
+	} else {
+		a := native.NewArena()
+		switch {
+		case v == Deterministic:
+			g = core.NewSorter(a, n, core.AllocWAT)
+		case v == LowContention && p >= 4 && n >= p:
+			g = lowcont.New(a, n, p)
+		default:
+			g = core.NewSorter(a, n, core.AllocRandomized)
+		}
+		size = a.Size()
+	}
+	rt := native.New(native.Config{P: p, Mem: size, Seed: seed, Less: funcLess(data, less, n)})
+	g.Seed(rt.Memory())
+	if _, err := rt.Run(g.Program()); err != nil {
+		return err
+	}
+	return permuteInPlace(data, g.Places(rt.Memory()))
+}
+
 // TestSortLayoutsProperty is the cross-layout property test: for every
-// native arena layout × algorithm variant × input shape, SortFunc must
-// produce exactly what sort.SliceStable produces. Records carry unique
-// tags, so element-wise equality simultaneously proves sortedness,
-// stability and that the output is a permutation of the input.
+// test layout × algorithm variant × input shape, the sort must produce
+// exactly what sort.SliceStable produces. Records carry unique tags, so
+// element-wise equality simultaneously proves sortedness, stability and
+// that the output is a permutation of the input.
 func TestSortLayoutsProperty(t *testing.T) {
 	type rec struct{ key, tag int }
 	const n = 2500
@@ -271,11 +289,11 @@ func TestSortLayoutsProperty(t *testing.T) {
 		"sorted":   func(i int, _ *rand.Rand) int { return i },
 		"reverse":  func(i int, _ *rand.Rand) int { return n - i },
 	}
-	for _, layout := range Layouts() {
+	for li, l := range testLayouts {
 		for _, v := range []Variant{Deterministic, Randomized, LowContention} {
 			for name, gen := range inputs {
-				t.Run(layout.String()+"/"+v.String()+"/"+name, func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(v)<<8 + int64(layout)))
+				t.Run(l+"/"+v.String()+"/"+name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(v)<<8 + int64(li)))
 					data := make([]rec, n)
 					for i := range data {
 						data[i] = rec{key: gen(i, rng), tag: i}
@@ -283,8 +301,7 @@ func TestSortLayoutsProperty(t *testing.T) {
 					want := make([]rec, n)
 					copy(want, data)
 					sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
-					err := SortFunc(data, func(a, b rec) bool { return a.key < b.key },
-						WithLayout(layout), WithVariant(v), WithWorkers(6), WithSeed(uint64(layout)+1))
+					err := sortInLayout(l, data, func(a, b rec) bool { return a.key < b.key }, v, 6, uint64(li)+1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -301,7 +318,7 @@ func TestSortLayoutsProperty(t *testing.T) {
 
 // TestSortDegenerateInputsAllLayouts pins the edge cases the pivot
 // tree and scatter paths can mishandle — empty, singleton, pair and
-// all-equal inputs — on every layout × variant, against the
+// all-equal inputs — in every test layout × variant, against the
 // sort.SliceStable reference. Unique tags make element-wise equality
 // prove stability too (an all-equal input is the pure stability test:
 // the "sorted" output must be the input, untouched).
@@ -314,10 +331,10 @@ func TestSortDegenerateInputsAllLayouts(t *testing.T) {
 		"pairequal": {4, 4},
 		"allequal":  {5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5},
 	}
-	for _, layout := range Layouts() {
+	for _, l := range testLayouts {
 		for _, v := range []Variant{Deterministic, Randomized, LowContention} {
 			for name, keys := range inputs {
-				t.Run(layout.String()+"/"+v.String()+"/"+name, func(t *testing.T) {
+				t.Run(l+"/"+v.String()+"/"+name, func(t *testing.T) {
 					data := make([]rec, len(keys))
 					for i, k := range keys {
 						data[i] = rec{key: k, tag: i}
@@ -325,8 +342,7 @@ func TestSortDegenerateInputsAllLayouts(t *testing.T) {
 					want := make([]rec, len(data))
 					copy(want, data)
 					sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
-					err := SortFunc(data, func(a, b rec) bool { return a.key < b.key },
-						WithLayout(layout), WithVariant(v), WithWorkers(4))
+					err := sortInLayout(l, data, func(a, b rec) bool { return a.key < b.key }, v, 4, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -341,6 +357,33 @@ func TestSortDegenerateInputsAllLayouts(t *testing.T) {
 	}
 }
 
+// TestNativeIgnoresVariant: WithVariant picks the paper's algorithm for
+// Simulate only. A pooled native sort asked for the §3 sort, with
+// enough workers for its regime, runs the block-leaf kernel, so its
+// traced phases are the kernel's.
+func TestNativeIgnoresVariant(t *testing.T) {
+	s, err := NewSorter[int](WithWorkers(4), WithVariant(LowContention))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	data := randSlice(rand.New(rand.NewSource(22)), 1000)
+	var tr SortTrace
+	if err := s.SortContext(WithSortTrace(context.Background(), &tr), data); err != nil {
+		t.Fatal(err)
+	}
+	if !sort.IntsAreSorted(data) {
+		t.Fatal("not sorted")
+	}
+	var names []string
+	for _, ph := range tr.Phases {
+		names = append(names, ph.Name)
+	}
+	if !slices.Equal(names, []string{"1:build", "3:place"}) {
+		t.Fatalf("phases %v, want the kernel's [1:build 3:place]", names)
+	}
+}
+
 func TestSortPreservesMultisets(t *testing.T) {
 	// The output must be a permutation of the input, not just sorted —
 	// catches any lost or duplicated element in the scatter.
@@ -352,7 +395,7 @@ func TestSortPreservesMultisets(t *testing.T) {
 		data[i] = rng.Intn(50) // heavy duplication
 		before[data[i]]++
 	}
-	if err := Sort(data, WithWorkers(6), WithVariant(LowContention)); err != nil {
+	if err := Sort(data, WithWorkers(6)); err != nil {
 		t.Fatal(err)
 	}
 	after := map[int]int{}
