@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test race bench benchgate benchgate-baseline serve-gate serve-gate-baseline capacity-gate capacity-gate-baseline qos-gate qos-gate-baseline trace-gate cluster-gate cluster-gate-baseline wire-gate wire-gate-baseline loadgen openloop sortd sortc soak chaos chaos-quick perfbench-test experiments experiments-quick stress obs fmt vet lint cover
+.PHONY: all test race bench benchgate benchgate-baseline trace-gate loadgen openloop sortd sortc soak chaos chaos-quick perfbench-test experiments experiments-quick stress obs fmt vet lint cover
 
 all: vet test
 
@@ -13,69 +13,24 @@ race:
 bench:
 	go test -bench=. -benchmem .
 
-# Gate native-sort throughput against the checked-in BENCH_native.json.
+# Run the gate table: every cell times a subject against its floor on
+# the same work (kernel vs slices.Sort, pooled vs fresh, binary vs JSON,
+# 3 vs 1 cluster backends, QoS vs FIFO, ...) and every gate bounds the
+# subject/floor cost ratio, by a contract constant or by drift from
+# the checked-in BENCH_gate.json.
 benchgate:
 	go run ./cmd/benchgate
 
-# Re-measure and overwrite the baseline (run on the reference machine).
+# Re-measure and overwrite BENCH_gate.json (run on the reference machine).
 benchgate-baseline:
-	go run ./cmd/benchgate -write
-
-# Gate the serving layer against BENCH_serve.json: pooled-vs-fresh sort
-# throughput (geomean must stay >= 1.0x) and sortd request throughput,
-# faultless and with half the workers crash-stopped per sort.
-serve-gate:
-	go run ./cmd/benchgate -serve
-
-serve-gate-baseline:
-	go run ./cmd/benchgate -serve -write
-
-# Gate serving capacity against BENCH_capacity.json: an open-loop
-# loadgen sweep finds the offered-load knee where p99 crosses the
-# 50 ms SLO; the knee must stay within tolerance of the baseline.
-capacity-gate:
-	go run ./cmd/benchgate -capacity
-
-capacity-gate-baseline:
-	go run ./cmd/benchgate -capacity -write
-
-# Gate the QoS plane: one two-class overload trace replayed FIFO vs
-# QoS-scheduled; the latency class's p99 must drop to <= 0.7x FIFO
-# while bulk keeps >= 0.8x of its FIFO throughput. Self-relative, so
-# it holds on any host; BENCH_qos.json is the certification record.
-qos-gate:
-	go run ./cmd/benchgate -qos
-
-qos-gate-baseline:
-	go run ./cmd/benchgate -qos -write
+	go run ./cmd/benchgate -write -runs 5
 
 # Gate the trace plane: race-run the request-tracing, burn-rate and
-# flight-recorder tests, then measure instrumented-vs-TraceOff serving
-# throughput (geomean must stay within tolerance of 1.0x).
+# flight-recorder tests, then smoke the gate table, whose observer and
+# trace cells time instrumented sorts and servers against plain ones.
 trace-gate:
 	go test -race -count=1 -run 'TestTrace|TestRejectionSpans|TestBurn|TestMetricsProm|TestStageHist|TestSpanLogLapped|TestFlightRecorder|TestExemplars|TestPerfettoAddSpans|TestTeamRunTiming|TestRunStamps|TestHandlerTargetStages' ./internal/server ./internal/obs ./internal/native ./internal/loadgen
-	go run ./cmd/benchgate -quick -observed -runs 1
-
-# Gate the distributed tier against BENCH_cluster.json: a token-bucket
-# capacity model makes admission (not CPU) the binding resource, so the
-# 3-backend fleet must sustain >= 1.8x the 1-backend job rate even on a
-# single-core host; the kill leg must redispatch and stay byte-identical
-# to a faultless run.
-cluster-gate:
-	go run ./cmd/benchgate -cluster
-
-cluster-gate-baseline:
-	go run ./cmd/benchgate -cluster -write
-
-# Gate the binary wire codec against BENCH_wire.json: binary vs JSON
-# request throughput through the in-process serving path; the
-# large-request binary/json ratio must stay >= 1.15x on both /sort and
-# /shard, or the second codec is not paying its way.
-wire-gate:
-	go run ./cmd/benchgate -wire
-
-wire-gate-baseline:
-	go run ./cmd/benchgate -wire -write
+	go run ./cmd/benchgate -quick -runs 1
 
 # Open-loop load generator against a live service. See cmd/loadgen for
 # spec format, -record/-replay, and -capacity sweeps.

@@ -391,9 +391,9 @@ func BenchmarkE17QRQW(b *testing.B) {
 // BenchmarkNativeObserved measures the cost of the wait-free
 // observability plane on the native sort: "off" is the
 // nil-observer baseline (one pointer compare per op), "on" installs a
-// full Observer (event rings, phase spans, snapshots). cmd/benchgate
-// gates the off/on ratio so the hook can never silently grow a real
-// hot-path cost.
+// full Observer (event rings, phase spans, snapshots). The observer
+// cells of cmd/benchgate gate the on/off cost ratio so the hook can
+// never silently grow a real hot-path cost.
 //
 //	go test -bench 'NativeObserved' -benchmem .
 func BenchmarkNativeObserved(b *testing.B) {

@@ -1,80 +1,205 @@
-// Command benchgate is the native sort's regression gate. It times the
-// real-goroutine sort (the block-leaf kernel) across a workers × size
-// matrix (P ∈ {1, 4, 8, GOMAXPROCS}, N up to 1M), each cell alongside
-// slices.Sort on the same permutation, writes the measurements as JSON,
-// and fails if throughput regressed more than the tolerance against the
-// checked-in baseline (BENCH_native.json).
+// Command benchgate holds the native stack's performance claims to
+// their floors. It runs one fixed table of cells (see table). Each cell
+// pairs a subject with its floor on the same work: the kernel with
+// slices.Sort on the same keys, the observed sort with the plain one,
+// the traced server with its TraceOff twin, pooled sorts with fresh
+// ones, a server that crash-stops half of every sort's workers with a
+// faultless one, binary requests with JSON ones, three cluster backends
+// with one, and the QoS scheduler with FIFO. The two sides of a cell
+// run alternately within one run, each checks its own output, and every
+// gate bounds median(subject cost) / median(floor cost), so no verdict
+// depends on the host.
 //
 // Usage:
 //
-//	benchgate [-baseline BENCH_native.json] [-out FILE] [-write]
-//	          [-quick] [-observed] [-runs 3] [-tolerance 0.10] [-serve]
+//	benchgate [-baseline BENCH_gate.json] [-out FILE] [-write]
+//	          [-quick] [-runs 3] [-tolerance 0.10]
 //
-// With -serve the gate targets the serving layer instead (pooled vs
-// fresh sort throughput and sortd request throughput, baseline
-// BENCH_serve.json — see serve.go). With -capacity it sweeps open-loop load for the SLO knee (baseline
-// BENCH_capacity.json — see capacity.go), and with -qos it replays a
-// two-class overload FIFO vs QoS-scheduled and gates the priority
-// plane's latency win and starvation floor (baseline BENCH_qos.json —
-// see qos.go). With -cluster it measures the distributed tier — the
-// sample-sort coordinator over 1/2/3 admission-bucketed backends plus
-// a backend-kill chaos leg — and gates the 3-backend scaling ratio and
-// the kill leg's byte-identical output (baseline BENCH_cluster.json —
-// see cluster.go). With -wire it compares binary vs JSON request
-// throughput through the serving path and gates the binary codec's
-// large-request speedup (baseline BENCH_wire.json — see wire.go).
-//
-// Three gates run, strongest applicable first; all act on geometric
-// means over the whole matrix because individual wall-time cells are
-// too noisy to gate at any useful tolerance (see compare):
-//
-//   - On the machine that produced the baseline (same GOOS/GOARCH,
-//     GOMAXPROCS and CPU count), the geomean absolute throughput must
-//     be within tolerance of the baseline's.
-//   - On any machine, the geomean kernel/slices.Sort throughput ratio
-//     — the sort against its sequential floor, timed on the same keys
-//     in the same run and so machine-relative by construction — must
-//     be within tolerance of the baseline's.
-//   - With -observed, extra cells run with the internal/obs
-//     observability plane installed, and the geomean observed/
-//     unobserved ratio must stay within tolerance of 1 — the observer
-//     hook is sold as near-free, and this gate keeps it honest. The
-//     ratio is measured within the current run, so it needs no
-//     baseline cells and works on any host. A second -observed leg
-//     boots the serving stack with the full request-trace plane on
-//     (stage clocks, exemplars, SLO burn monitor) against a TraceOff
-//     twin and holds the traced/plain request-throughput ratio to the
-//     same tolerance (see observed.go).
-//
-// -quick runs a reduced matrix as a correctness smoke (sortedness is
-// always verified) and reports, but never fails on, performance.
-// -write regenerates the baseline file instead of gating against it.
+// A gate bounds the ratios of the cells it names either by a contract
+// constant (the binary codec's 1.15x, the cluster's 1.8x scaling, ...)
+// or by drift: the geomean of each cell's ratio over the ratio recorded
+// in the baseline may grow to at most 1/(1 − tolerance). -write records
+// the fresh report as the baseline. -quick shrinks every cell to small
+// sizes and one round: a wrong answer still fails the run, while gates
+// are reported but never fail it.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"os"
+	"path"
 	"runtime"
 	"slices"
-	"sort"
-	"time"
-
-	"wfsort"
+	"strings"
 )
 
-// Host fingerprints the machine a report was measured on. Absolute
-// throughput numbers are only comparable when fingerprints match.
+// Host fingerprints the machine a report was measured on. No gate reads
+// it: every gate acts on in-run ratios. It says where a baseline came
+// from.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	GoVersion  string `json:"goversion"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"numcpu"`
+}
+
+// Result is one measured cost of a cell: the median of each side over
+// the timed rounds, and their ratio.
+type Result struct {
+	Name    string  `json:"name"`
+	Unit    string  `json:"unit"`
+	Subject float64 `json:"subject"`
+	Floor   float64 `json:"floor"`
+	Ratio   float64 `json:"ratio"`
+	Rounds  int     `json:"rounds"`
+}
+
+// GateResult is one gate's verdict on a run.
+type GateResult struct {
+	Name  string  `json:"name"`
+	Cells string  `json:"cells"`
+	Drift bool    `json:"drift,omitempty"`
+	Value float64 `json:"value"`
+	Bound float64 `json:"bound"`
+	Pass  bool    `json:"pass"`
+	Why   string  `json:"why,omitempty"`
+}
+
+// Report is the BENCH_gate.json schema.
+type Report struct {
+	Host  Host         `json:"host"`
+	Quick bool         `json:"quick,omitempty"`
+	Cells []Result     `json:"cells"`
+	Gates []GateResult `json:"gates"`
+}
+
+// A side runs one round of its cell's work, checks its output and
+// returns its costs, one per metric of the cell; lower is better.
+type side func() ([]float64, error)
+
+// metric names one cost of a cell: its result name and its unit.
+type metric struct{ name, unit string }
+
+// A cell pairs a subject with its floor on the same work.
+type cell struct {
+	metrics []metric
+	// rounds is the number of timed rounds; 0 takes -runs.
+	rounds int
+	// open prepares the work both sides share and returns the sides and
+	// a closer (nil when there is nothing to release).
+	open func() (subject, floor side, close func(), err error)
+}
+
+// A gate bounds the ratios of the results its pattern matches.
+type gate struct {
+	name string
+	// cells is a path.Match pattern over result names.
+	cells string
+	// each requires every matched ratio to hold the bound; otherwise
+	// their geomean must.
+	each bool
+	// bound is the contract ratio bound; 0 makes it a drift gate.
+	bound float64
+}
+
+func main() {
+	if err := run(os.Stdout, os.Args[1:], table); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, measures every cell tab returns and judges its
+// gates.
+func run(w io.Writer, args []string, tab func(w io.Writer, quick bool) ([]cell, []gate)) error {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(w)
+	baseline := fs.String("baseline", "BENCH_gate.json", "baseline report the drift gates compare against")
+	out := fs.String("out", "", "also write the fresh report to this file")
+	write := fs.Bool("write", false, "record the fresh report as the baseline instead of gating")
+	quick := fs.Bool("quick", false, "small sizes and one round; fail on wrong answers, report gates without failing")
+	runs := fs.Int("runs", 3, "timed rounds per cell (each side keeps its median)")
+	tol := fs.Float64("tolerance", 0.10, "drift gates let a ratio grow to 1/(1-tolerance) of the baseline's")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if !(*tol > 0 && *tol < 1) {
+		return fmt.Errorf("-tolerance must be in (0, 1), got %v", *tol)
+	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs must be at least 1, got %d", *runs)
+	}
+	if *quick {
+		*runs = 1
+	}
+	// Read the baseline before measuring anything: a mistyped path
+	// should fail in milliseconds, not after the whole table ran.
+	var base *Report
+	if !*write {
+		b, err := readReport(*baseline)
+		if err != nil && !(*quick && os.IsNotExist(err)) {
+			return fmt.Errorf("reading baseline: %w (run with -write to create it)", err)
+		}
+		base = b
+	}
+
+	cells, gates := tab(w, *quick)
+	rep := &Report{Host: hostFingerprint(), Quick: *quick}
+	for _, c := range cells {
+		res, err := c.measure(cmp.Or(c.rounds, *runs))
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.metrics[0].name, err)
+		}
+		for _, r := range res {
+			fmt.Fprintf(w, "%-20s subject %10.4g  floor %10.4g %-5s ratio %.3f\n",
+				r.Name, r.Subject, r.Floor, r.Unit, r.Ratio)
+		}
+		rep.Cells = append(rep.Cells, res...)
+	}
+	// -write records the fresh report as its own reference, so its
+	// drift gates read 1.
+	var recorded []Result
+	switch {
+	case *write:
+		recorded = rep.Cells
+	case base != nil:
+		recorded = base.Cells
+	}
+	rep.Gates = evaluate(gates, rep.Cells, recorded, *tol)
+	failed := 0
+	for _, g := range rep.Gates {
+		verdict := "ok  "
+		if !g.Pass {
+			verdict, failed = "FAIL", failed+1
+		}
+		fmt.Fprintf(w, "%s %-20s %.3f (bound %.3f) %s\n", verdict, g.Name, g.Value, g.Bound, g.Why)
+	}
+	if *out != "" {
+		if err := writeReport(*out, rep); err != nil {
+			return err
+		}
+	}
+	switch {
+	case *write:
+		if err := writeReport(*baseline, rep); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "baseline written to %s (%d cells, %d gates)\n", *baseline, len(cells), len(rep.Gates))
+	case *quick:
+		fmt.Fprintf(w, "smoke passed: %d cells answered correctly (%d of %d gates failed, reported, not gated)\n",
+			len(cells), failed, len(rep.Gates))
+	case failed > 0:
+		return fmt.Errorf("%d of %d gates failed against baseline %s", failed, len(rep.Gates), *baseline)
+	default:
+		fmt.Fprintf(w, "gate passed: %d cells, all %d gates hold\n", len(cells), len(rep.Gates))
+	}
+	return nil
 }
 
 func hostFingerprint() Host {
@@ -87,409 +212,134 @@ func hostFingerprint() Host {
 	}
 }
 
-// comparable reports whether absolute numbers from the two hosts can
-// be gated against each other. The Go version is informational only —
-// a toolchain upgrade should surface as a (gated) perf change, not
-// silently disable the gate.
-func (h Host) comparable(o Host) bool {
-	return h.GOOS == o.GOOS && h.GOARCH == o.GOARCH &&
-		h.GOMAXPROCS == o.GOMAXPROCS && h.NumCPU == o.NumCPU
-}
-
-// Result is one cell of the matrix: median-of-runs throughput of the
-// native sort for a (workers, size) combination and, on unobserved
-// cells, of slices.Sort on the same permutation.
-type Result struct {
-	P                 int     `json:"p"`
-	N                 int     `json:"n"`
-	Observed          bool    `json:"observed,omitempty"`
-	ElemsPerSec       float64 `json:"elems_per_sec"`
-	StdlibElemsPerSec float64 `json:"stdlib_elems_per_sec,omitempty"`
-	Runs              int     `json:"runs"`
-}
-
-func (r Result) cell() string {
-	obs := ""
-	if r.Observed {
-		obs = "+obs"
-	}
-	return fmt.Sprintf("kernel%s/p%d/n%d", obs, r.P, r.N)
-}
-
-// Report is the BENCH_native.json schema.
-type Report struct {
-	Host    Host     `json:"host"`
-	Results []Result `json:"results"`
-}
-
-// index keys a report's cells for comparison.
-func (r *Report) index() map[string]Result {
-	m := make(map[string]Result, len(r.Results))
-	for _, res := range r.Results {
-		m[res.cell()] = res
-	}
-	return m
-}
-
-func main() {
-	if err := run(os.Stdout, os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(1)
-	}
-}
-
-func run(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
-	baseline := fs.String("baseline", "BENCH_native.json", "baseline report to gate against")
-	out := fs.String("out", "", "also write the fresh report to this file")
-	write := fs.Bool("write", false, "regenerate the baseline file instead of gating")
-	quick := fs.Bool("quick", false, "reduced matrix; verify sortedness but never fail on perf")
-	observed := fs.Bool("observed", false, "add observer-installed cells and gate the observer overhead")
-	runs := fs.Int("runs", 3, "timed runs per cell (the median is kept)")
-	tol := fs.Float64("tolerance", 0.10, "allowed fractional throughput regression")
-	serve := fs.Bool("serve", false, "gate the serving layer (pooled vs fresh, sortd req/s) instead of the native matrix")
-	capacity := fs.Bool("capacity", false, "gate the serving stack's capacity-curve knee (open-loop loadgen sweep vs an SLO) instead of the native matrix")
-	qosMode := fs.Bool("qos", false, "gate the QoS plane (priority scheduling vs FIFO on a two-class overload) instead of the native matrix")
-	clusterMode := fs.Bool("cluster", false, "gate the distributed sort tier (coordinator scaling over 1/2/3 backends + kill leg) instead of the native matrix")
-	wireMode := fs.Bool("wire", false, "gate the binary wire codec (binary vs JSON request throughput on the serving path) instead of the native matrix")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	modes := 0
-	for _, m := range []bool{*serve, *capacity, *qosMode, *clusterMode, *wireMode} {
-		if m {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return fmt.Errorf("-serve, -capacity, -qos, -cluster and -wire are mutually exclusive")
-	}
-	if *serve {
-		if *baseline == "BENCH_native.json" {
-			*baseline = "BENCH_serve.json"
-		}
-		return runServe(w, *baseline, *out, *write, *quick, *runs, *tol)
-	}
-	if *capacity {
-		if *baseline == "BENCH_native.json" {
-			*baseline = "BENCH_capacity.json"
-		}
-		return runCapacity(w, *baseline, *out, *write, *quick, *tol)
-	}
-	if *qosMode {
-		if *baseline == "BENCH_native.json" {
-			*baseline = "BENCH_qos.json"
-		}
-		return runQoS(w, *baseline, *out, *write, *quick)
-	}
-	if *clusterMode {
-		if *baseline == "BENCH_native.json" {
-			*baseline = "BENCH_cluster.json"
-		}
-		return runCluster(w, *baseline, *out, *write, *quick, *tol)
-	}
-	if *wireMode {
-		if *baseline == "BENCH_native.json" {
-			*baseline = "BENCH_wire.json"
-		}
-		return runWire(w, *baseline, *out, *write, *quick, *runs, *tol)
-	}
-
-	// Read the baseline before measuring anything: a mistyped path
-	// should fail in milliseconds, not after the whole matrix ran.
-	var base *Report
-	if !*write {
-		b, err := readReport(*baseline)
-		if err != nil {
-			if !(*quick && os.IsNotExist(err)) {
-				return fmt.Errorf("reading baseline: %w (run with -write to create it)", err)
-			}
-		} else {
-			base = b
-		}
-	}
-
-	rep, err := measureMatrix(w, matrix(*quick, *observed), *runs)
+// measure runs one untimed warm-up round and then rounds timed rounds
+// of both sides, flushing the garbage collector before each side and
+// alternating which side goes first, so neither always inherits the
+// other's cache and heap state. Each side keeps the median of every
+// cost: one lucky round cannot set a baseline that later runs must
+// beat.
+func (c cell) measure(rounds int) ([]Result, error) {
+	subject, floor, closeFn, err := c.open()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if *out != "" {
-		if err := writeReport(*out, rep); err != nil {
-			return err
-		}
+	if closeFn != nil {
+		defer closeFn()
 	}
-	if *write {
-		if err := writeReport(*baseline, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "baseline written to %s (%d cells)\n", *baseline, len(rep.Results))
-		return nil
-	}
-	if base == nil && !*observed {
-		fmt.Fprintf(w, "no baseline at %s; smoke passed (sortedness verified)\n", *baseline)
-		return nil
-	}
-	var failures []string
-	if base != nil {
-		failures = compare(base, rep, *tol)
-	}
-	if *observed {
-		// The serving-layer leg of the observer gate: the full trace
-		// plane (stage clocks, exemplars, burn monitor) vs TraceOff,
-		// gated on the in-run ratio like the native observer cells.
-		obsFailures, err := runObservedServe(w, *quick, *runs, *tol)
-		if err != nil {
-			return err
-		}
-		failures = append(failures, obsFailures...)
-	}
-	for _, f := range failures {
-		fmt.Fprintln(w, "REGRESSION:", f)
-	}
-	if *quick {
-		fmt.Fprintf(w, "smoke passed: %d cells sorted correctly (%d perf deviations reported, not gated)\n",
-			len(rep.Results), len(failures))
-		return nil
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("%d gate(s) regressed beyond %.0f%% against baseline %s", len(failures), *tol*100, *baseline)
-	}
-	fmt.Fprintf(w, "gate passed: %d cells, geomeans within %.0f%% of baseline\n", len(rep.Results), *tol*100)
-	return nil
-}
-
-// cellSpec names one measurement to take.
-type cellSpec struct {
-	p, n     int
-	observed bool
-}
-
-// matrix lists the cells to measure. The full matrix is P ∈ {1, 4, 8,
-// GOMAXPROCS} and N ∈ {64Ki, 256Ki, 1Mi}; quick mode keeps one small
-// and one medium size at two worker counts. With observed, every cell
-// is doubled with an observer-installed twin for the overhead gate.
-func matrix(quick, observed bool) []cellSpec {
-	workers := []int{1, 4, 8}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 4 && g != 8 {
-		workers = append(workers, g)
-	}
-	sizes := []int{1 << 16, 1 << 18, 1 << 20}
-	if quick {
-		workers = []int{4, runtime.GOMAXPROCS(0)}
-		if workers[0] == workers[1] {
-			workers = workers[:1]
-		}
-		sizes = []int{1 << 14, 1 << 16}
-	}
-	var cells []cellSpec
-	for _, p := range workers {
-		for _, n := range sizes {
-			cells = append(cells, cellSpec{p, n, false})
-			if observed {
-				cells = append(cells, cellSpec{p, n, true})
+	sides := [2]side{subject, floor}
+	var costs [2][][]float64 // [side][metric][round]
+	for r := 0; r <= rounds; r++ {
+		for i := range 2 {
+			s := (i + r) % 2
+			runtime.GC()
+			cs, err := sides[s]()
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", [2]string{"subject", "floor"}[s], err)
+			}
+			if r == 0 {
+				costs[s] = make([][]float64, len(cs))
+				continue
+			}
+			for m, v := range cs {
+				costs[s][m] = append(costs[s][m], v)
 			}
 		}
 	}
-	return cells
-}
-
-// measureMatrix times every cell and assembles the report. Sortedness
-// of every run's output is verified — a wrong sort is an error no
-// matter the mode.
-func measureMatrix(w io.Writer, cells []cellSpec, runs int) (*Report, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	rep := &Report{Host: hostFingerprint()}
-	for _, c := range cells {
-		r, err := measure(c, runs)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "%-22s %12.0f elems/s", r.cell(), r.ElemsPerSec)
-		if r.StdlibElemsPerSec > 0 {
-			fmt.Fprintf(w, "  slices.Sort %12.0f elems/s  ratio %.3f", r.StdlibElemsPerSec, r.ElemsPerSec/r.StdlibElemsPerSec)
-		}
-		fmt.Fprintln(w)
-		rep.Results = append(rep.Results, r)
-	}
-	return rep, nil
-}
-
-// measure times one cell: the median over runs timed wall-clock sorts
-// of a fixed pseudo-random permutation, after one untimed warmup. An
-// unobserved cell times slices.Sort on the same permutation in every
-// run too, alternating which of the two goes first so neither always
-// inherits the other's cache and heap state. The garbage collector is
-// flushed before each timed sort so earlier allocation debt cannot be
-// charged to it; the median (rather than the minimum) keeps a single
-// lucky run in the baseline from making every later gate run look like
-// a regression.
-func measure(c cellSpec, runs int) (Result, error) {
-	base := rand.New(rand.NewSource(int64(c.n) + int64(c.p))).Perm(c.n)
-	data := make([]int, c.n)
-	kernel := func() (time.Duration, error) {
-		copy(data, base)
-		runtime.GC()
-		opts := []wfsort.Option{wfsort.WithWorkers(c.p)}
-		if c.observed {
-			// One observer per run: like the runtime, an Observer
-			// drives at most one sort.
-			opts = append(opts, wfsort.WithObserver(wfsort.NewObserver()))
-		}
-		start := time.Now()
-		err := wfsort.Sort(data, opts...)
-		elapsed := time.Since(start)
-		if err != nil {
-			return 0, fmt.Errorf("p%d/n%d: %w", c.p, c.n, err)
-		}
-		if !sort.IntsAreSorted(data) {
-			return 0, fmt.Errorf("p%d/n%d: output not sorted", c.p, c.n)
-		}
-		return elapsed, nil
-	}
-	stdlib := func() time.Duration {
-		copy(data, base)
-		runtime.GC()
-		start := time.Now()
-		slices.Sort(data)
-		return time.Since(start)
-	}
-	var kTimes, sTimes []time.Duration
-	for r := 0; r <= runs; r++ {
-		var s time.Duration
-		if !c.observed && r%2 == 1 {
-			s = stdlib()
-		}
-		k, err := kernel()
-		if err != nil {
-			return Result{}, err
-		}
-		if !c.observed && r%2 == 0 {
-			s = stdlib()
-		}
-		if r > 0 { // run 0 is the warmup
-			kTimes = append(kTimes, k)
-			sTimes = append(sTimes, s)
-		}
-	}
-	res := Result{
-		P:           c.p,
-		N:           c.n,
-		Observed:    c.observed,
-		ElemsPerSec: float64(c.n) / median(kTimes).Seconds(),
-		Runs:        runs,
-	}
-	if !c.observed {
-		res.StdlibElemsPerSec = float64(c.n) / median(sTimes).Seconds()
+	res := make([]Result, len(c.metrics))
+	for m, mt := range c.metrics {
+		sub, flo := median(costs[0][m]), median(costs[1][m])
+		res[m] = Result{Name: mt.name, Unit: mt.unit,
+			Subject: finite(sub), Floor: finite(flo), Ratio: finite(sub / flo), Rounds: rounds}
 	}
 	return res, nil
 }
 
-// median returns the middle element (lower-middle for even counts) of
-// the measured durations.
-func median(d []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), d...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+// finite maps an infinite or NaN cost or ratio, such as the cost per
+// request of a side that completed none, to 0. JSON has no infinities,
+// and every gate rejects a ratio of 0 as unmeasurable.
+func finite(x float64) float64 {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return 0
+	}
+	return x
+}
+
+// median returns the middle value (lower-middle for even counts).
+func median(v []float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
 	return s[(len(s)-1)/2]
 }
 
-// compare gates cur against base and returns one message per failed
-// gate. Single cells are far too noisy to gate on directly (wall time
-// on a loaded machine jitters well past any useful tolerance), so
-// both gates act on the geometric mean of the per-cell change across
-// the whole matrix, where independent per-cell noise averages out:
-//
-//   - absolute throughput (only between comparable hosts): the
-//     geomean of cur/base across matching cells must not fall below
-//     1 − tol;
-//   - the kernel/slices.Sort throughput ratio (any host): the geomean
-//     of the per-(P, N) ratio change must not fall below 1 − tol;
-//   - the observer overhead (any host, only when observed cells were
-//     measured): the geomean observed/unobserved throughput ratio,
-//     taken within cur alone, must not fall below 1 − tol.
-//
-// Failure messages name the worst cell as the place to start looking.
-func compare(base, cur *Report, tol float64) []string {
-	var failures []string
-	bi, ci := base.index(), cur.index()
-
-	if base.Host.comparable(cur.Host) {
+// evaluate judges every gate on the current results. A drift gate
+// divides each cell's ratio by the one recorded for it. A gate fails
+// when it matches no cell, when a drift gate finds a cell unrecorded,
+// or when a ratio is not a positive finite number, as when a floor
+// completed no work; each failure names its cells.
+func evaluate(gates []gate, cur, recorded []Result, tol float64) []GateResult {
+	rec := make(map[string]float64, len(recorded))
+	for _, r := range recorded {
+		rec[r.Name] = r.Ratio
+	}
+	out := make([]GateResult, 0, len(gates))
+	for _, g := range gates {
+		gr := GateResult{Name: g.name, Cells: g.cells, Drift: g.bound == 0, Bound: g.bound}
+		if gr.Drift {
+			gr.Bound = 1 / (1 - tol)
+		}
+		var missing, bad, over []string
 		var logSum float64
-		cells := 0
-		worst, worstCell := 1.0, ""
-		for _, c := range cur.Results {
-			b, ok := bi[c.cell()]
-			if !ok || b.ElemsPerSec <= 0 || c.ElemsPerSec <= 0 {
+		n, worst, worstCell := 0, 0.0, ""
+		for _, r := range cur {
+			if ok, _ := path.Match(g.cells, r.Name); !ok {
 				continue
 			}
-			change := c.ElemsPerSec / b.ElemsPerSec
-			logSum += math.Log(change)
-			cells++
-			if change < worst {
-				worst, worstCell = change, c.cell()
+			v := r.Ratio
+			if gr.Drift {
+				b, ok := rec[r.Name]
+				if !ok {
+					missing = append(missing, r.Name)
+					continue
+				}
+				v /= b
+			}
+			if v = finite(v); v <= 0 {
+				bad = append(bad, r.Name)
+				continue
+			}
+			n++
+			logSum += math.Log(v)
+			if v > worst {
+				worst, worstCell = v, r.Name
+			}
+			if v > gr.Bound {
+				over = append(over, fmt.Sprintf("%s %.3f", r.Name, v))
 			}
 		}
-		if cells > 0 {
-			if g := math.Exp(logSum / float64(cells)); g < 1-tol {
-				failures = append(failures, fmt.Sprintf(
-					"throughput: geomean %.1f%% below baseline over %d cells (worst %s at %.1f%%)",
-					100*(1-g), cells, worstCell, 100*(1-worst)))
-			}
+		gr.Value = worst
+		if !g.each && n > 0 {
+			gr.Value = math.Exp(logSum / float64(n))
 		}
+		var why []string
+		switch {
+		case n+len(missing)+len(bad) == 0:
+			why = append(why, "no cell matches "+g.cells)
+		case len(missing) > 0:
+			why = append(why, "no baseline for "+strings.Join(missing, ", "))
+		}
+		if len(bad) > 0 {
+			why = append(why, "unmeasurable ratio in "+strings.Join(bad, ", "))
+		}
+		if g.each && len(over) > 0 {
+			why = append(why, "over the bound: "+strings.Join(over, ", "))
+		} else if !g.each && gr.Value > gr.Bound {
+			why = append(why, fmt.Sprintf("worst cell %s %.3f", worstCell, worst))
+		}
+		gr.Pass = len(why) == 0
+		gr.Why = strings.Join(why, "; ")
+		out = append(out, gr)
 	}
-
-	var logSum float64
-	cells := 0
-	worst, worstCell := 1.0, ""
-	for _, c := range cur.Results {
-		b, ok := bi[c.cell()]
-		if !ok || c.StdlibElemsPerSec <= 0 || b.StdlibElemsPerSec <= 0 {
-			continue
-		}
-		curRatio := c.ElemsPerSec / c.StdlibElemsPerSec
-		baseRatio := b.ElemsPerSec / b.StdlibElemsPerSec
-		change := curRatio / baseRatio
-		logSum += math.Log(change)
-		cells++
-		if change < worst {
-			worst, worstCell = change, fmt.Sprintf("p%d/n%d (%.2fx vs %.2fx)", c.P, c.N, curRatio, baseRatio)
-		}
-	}
-	if cells > 0 {
-		if g := math.Exp(logSum / float64(cells)); g < 1-tol {
-			failures = append(failures, fmt.Sprintf(
-				"ratio kernel/slices.Sort: geomean %.1f%% below baseline over %d cells (worst %s)",
-				100*(1-g), cells, worstCell))
-		}
-	}
-
-	logSum, cells = 0, 0
-	worst, worstCell = 1.0, ""
-	for _, c := range cur.Results {
-		if !c.Observed {
-			continue
-		}
-		plain := Result{P: c.P, N: c.N}.cell()
-		cp, ok := ci[plain]
-		if !ok || cp.ElemsPerSec <= 0 {
-			continue
-		}
-		change := c.ElemsPerSec / cp.ElemsPerSec
-		logSum += math.Log(change)
-		cells++
-		if change < worst {
-			worst, worstCell = change, fmt.Sprintf("p%d/n%d (%.1f%% overhead)", c.P, c.N, 100*(1-change))
-		}
-	}
-	if cells > 0 {
-		if g := math.Exp(logSum / float64(cells)); g < 1-tol {
-			failures = append(failures, fmt.Sprintf(
-				"observer overhead: geomean %.1f%% throughput loss with the observer installed over %d cells (worst %s)",
-				100*(1-g), cells, worstCell))
-		}
-	}
-	return failures
+	return out
 }
 
 func readReport(path string) (*Report, error) {

@@ -1,105 +1,105 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func report(host Host, cells ...Result) *Report {
-	return &Report{Host: host, Results: cells}
+// ratio is a result whose subject costs ratio times its floor.
+func ratio(name string, ratio float64) Result {
+	return Result{Name: name, Unit: "s", Subject: ratio, Floor: 1, Ratio: ratio, Rounds: 3}
 }
 
-var hostA = Host{GOOS: "linux", GOARCH: "amd64", GoVersion: "go1.24.0", GOMAXPROCS: 8, NumCPU: 8}
-var hostB = Host{GOOS: "darwin", GOARCH: "arm64", GoVersion: "go1.24.0", GOMAXPROCS: 10, NumCPU: 10}
-
-func TestCompareAbsoluteGate(t *testing.T) {
-	base := report(hostA, Result{P: 8, N: 1 << 18, ElemsPerSec: 1000, StdlibElemsPerSec: 2000})
-
-	// Within tolerance: no failures.
-	cur := report(hostA, Result{P: 8, N: 1 << 18, ElemsPerSec: 950, StdlibElemsPerSec: 1900})
-	if f := compare(base, cur, 0.10); len(f) != 0 {
-		t.Fatalf("expected clean gate, got %v", f)
-	}
-
-	// 20% absolute drop with the floor unchanged fails both gates; the
-	// absolute one comes first and names the cell.
-	cur = report(hostA, Result{P: 8, N: 1 << 18, ElemsPerSec: 800, StdlibElemsPerSec: 2000})
-	f := compare(base, cur, 0.10)
-	if len(f) == 0 {
-		t.Fatal("expected absolute-throughput regression to fail the gate")
-	}
-	if !strings.Contains(f[0], "throughput") || !strings.Contains(f[0], "kernel/p8") {
-		t.Fatalf("failure should name the cell: %v", f)
-	}
+// perSec is a result measured as rates: the costs are their inverses.
+func perSec(name string, subject, floor float64) Result {
+	return Result{Name: name, Unit: "s", Subject: 1 / subject, Floor: 1 / floor, Ratio: floor / subject, Rounds: 3}
 }
 
-func TestCompareRatioGateIsHostIndependent(t *testing.T) {
-	base := report(hostA, Result{P: 8, N: 1 << 18, ElemsPerSec: 1000, StdlibElemsPerSec: 2000}) // 0.5x
-
-	// Different host, globally slower, but the ratio holds: pass.
-	cur := report(hostB, Result{P: 8, N: 1 << 18, ElemsPerSec: 400, StdlibElemsPerSec: 800}) // 0.5x
-	if f := compare(base, cur, 0.10); len(f) != 0 {
-		t.Fatalf("ratio gate should pass across hosts, got %v", f)
+// TestGates is the gate evaluator's table: every gate of the full table,
+// judged on hand-made results. It carries the cases of the per-mode
+// compare tests it replaced, each with its verdict, except where a
+// missing cell used to be skipped: a gate now fails on it.
+func TestGates(t *testing.T) {
+	_, gates := table(io.Discard, false)
+	const k, sortL, shardL = "kernel/p8/n262144", "wire/sort/n131072", "wire/shard/n131072"
+	wire := func(sortBin, shardBin float64) []Result { // JSON at 100 req/s
+		return []Result{perSec(sortL, sortBin, 100), perSec(shardL, shardBin, 100)}
 	}
-
-	// Different host and the kernel fell further behind its floor: fail.
-	cur = report(hostB, Result{P: 8, N: 1 << 18, ElemsPerSec: 300, StdlibElemsPerSec: 800}) // 0.375x
-	f := compare(base, cur, 0.10)
-	if len(f) != 1 || !strings.Contains(f[0], "ratio kernel/slices.Sort") {
-		t.Fatalf("expected exactly the ratio failure, got %v", f)
+	cases := []struct {
+		name      string
+		gate      string
+		cur, base []Result
+		pass      bool
+		why       []string
+	}{
+		// The kernel against slices.Sort, drifting from the baseline.
+		{"kernel ratio held", "kernel drift", []Result{perSec(k, 950, 1900)}, []Result{perSec(k, 1000, 2000)}, true, nil},
+		{"kernel 20% behind", "kernel drift", []Result{perSec(k, 800, 2000)}, []Result{perSec(k, 1000, 2000)}, false, []string{"worst cell " + k}},
+		{"slower host, ratio held", "kernel drift", []Result{perSec(k, 400, 800)}, []Result{perSec(k, 1000, 2000)}, true, nil},
+		{"slower host, kernel fell behind", "kernel drift", []Result{perSec(k, 300, 800)}, []Result{perSec(k, 1000, 2000)}, false, nil},
+		{"cell missing from the baseline", "kernel drift", []Result{perSec("kernel/p4/n65536", 1, 2000)}, []Result{perSec(k, 1000, 2000)}, false, []string{"no baseline for kernel/p4/n65536"}},
+		{"no baseline at all", "kernel drift", []Result{perSec(k, 1000, 2000)}, nil, false, []string{"no baseline"}},
+		// In-run contracts need no baseline.
+		{"observer costs 5%", "observer overhead", []Result{perSec("observer/p8/n262144", 950, 1000)}, nil, true, nil},
+		{"observer costs 25%", "observer overhead", []Result{perSec("observer/p8/n262144", 750, 1000)}, nil, false, nil},
+		{"no cells", "observer overhead", nil, nil, false, []string{"no cell matches observer/*/*"}},
+		{"tracing costs 4%", "trace overhead", []Result{perSec("trace/n64", 96, 100), perSec("trace/n4096", 96, 100)}, nil, true, nil},
+		{"tracing costs 20%", "trace overhead", []Result{perSec("trace/n64", 80, 100), perSec("trace/n4096", 80, 100)}, nil, false, nil},
+		{"pooling pays", "pooled/fresh", []Result{ratio("pooled/p1/n4096", 0.95), ratio("pooled/p4/n4096", 0.98)}, nil, true, nil},
+		{"pooling does not pay", "pooled/fresh", []Result{ratio("pooled/p1/n4096", 1.05), ratio("pooled/p4/n4096", 0.98)}, nil, false, nil},
+		{"crash-half held", "crash-half drift", []Result{ratio("crashhalf", 1.16)}, []Result{ratio("crashhalf", 1.10)}, true, nil},
+		{"crash-half 30% dearer", "crash-half drift", []Result{ratio("crashhalf", 1.43)}, []Result{ratio("crashhalf", 1.10)}, false, nil},
+		// The binary codec's floor, each large cell on its own.
+		{"binary 1.8x", "wire speedup", wire(180, 180), nil, true, nil},
+		{"binary exactly at the floor", "wire speedup", []Result{ratio(sortL, 1/wireMinSpeedup), perSec(shardL, 180, 100)}, nil, true, nil},
+		{"binary 1.10x on /sort", "wire speedup", wire(110, 180), nil, false, []string{sortL}},
+		{"binary below on both", "wire speedup", wire(110, 105), nil, false, []string{sortL, shardL}},
+		{"binary/JSON ratio held", "wire drift", wire(200, 200), wire(200, 200), true, nil},
+		{"everything 20% slower", "wire drift", []Result{perSec(sortL, 160, 80), perSec(shardL, 160, 80)}, wire(200, 200), true, nil},
+		{"binary/JSON collapsed to 1.4x", "wire drift", wire(140, 140), wire(200, 200), false, nil},
+		{"1.4x still clears the floor", "wire speedup", wire(140, 140), wire(200, 200), true, nil},
+		{"sizes the baseline lacks", "wire drift", []Result{ratio("wire/sort/n16384", 0.5)}, wire(200, 200), false, []string{"no baseline for wire/sort/n16384"}},
+		{"no large cell", "wire speedup", []Result{ratio("wire/sort/n16384", 0.5)}, nil, false, []string{"no cell matches wire/*/n131072"}},
+		// The cluster's scaling and the QoS scheduler against FIFO.
+		{"three backends 3.1x", "cluster scaling", []Result{perSec("cluster/b3", 12.3, 3.9)}, nil, true, nil},
+		{"three backends 1.5x", "cluster scaling", []Result{perSec("cluster/b3", 6, 4)}, nil, false, nil},
+		{"lat p99 halved", "qos latency", []Result{ratio("qos/lat-p99", 0.5)}, nil, true, nil},
+		{"lat p99 at the bound", "qos latency", []Result{ratio("qos/lat-p99", qosLatP99Max)}, nil, true, nil},
+		{"no latency win", "qos latency", []Result{ratio("qos/lat-p99", 0.95)}, nil, false, []string{"over the bound"}},
+		{"bulk kept up", "qos bulk", []Result{ratio("qos/bulk-ok", 1)}, nil, true, nil},
+		{"bulk at the bound", "qos bulk", []Result{ratio("qos/bulk-ok", 1/qosBulkOKMin)}, nil, true, nil},
+		{"bulk starved", "qos bulk", []Result{ratio("qos/bulk-ok", 2)}, nil, false, nil},
+		{"FIFO completed no lat", "qos latency", []Result{ratio("qos/lat-p99", 0)}, nil, false, []string{"unmeasurable"}},
+		{"FIFO completed no bulk", "qos bulk", []Result{ratio("qos/bulk-ok", 0)}, nil, false, []string{"unmeasurable"}},
 	}
-}
-
-func TestCompareObserverOverheadGate(t *testing.T) {
-	base := report(hostA, Result{P: 8, N: 1 << 18, ElemsPerSec: 1000})
-
-	// 5% overhead with the observer installed: within a 10% tolerance.
-	cur := report(hostB,
-		Result{P: 8, N: 1 << 18, ElemsPerSec: 1000},
-		Result{P: 8, N: 1 << 18, Observed: true, ElemsPerSec: 950})
-	if f := compare(base, cur, 0.10); len(f) != 0 {
-		t.Fatalf("5%% observer overhead should pass, got %v", f)
-	}
-
-	// 25% overhead must fail, on any host, with no baseline cells.
-	cur = report(hostB,
-		Result{P: 8, N: 1 << 18, ElemsPerSec: 1000},
-		Result{P: 8, N: 1 << 18, Observed: true, ElemsPerSec: 750})
-	f := compare(base, cur, 0.10)
-	if len(f) != 1 || !strings.Contains(f[0], "observer overhead") {
-		t.Fatalf("expected exactly the observer-overhead failure, got %v", f)
-	}
-}
-
-func TestCompareSkipsUnknownCells(t *testing.T) {
-	base := report(hostA, Result{P: 8, N: 1 << 18, ElemsPerSec: 1000, StdlibElemsPerSec: 2000})
-	cur := report(hostA, Result{P: 4, N: 1 << 16, ElemsPerSec: 1, StdlibElemsPerSec: 2000})
-	if f := compare(base, cur, 0.10); len(f) != 0 {
-		t.Fatalf("cells absent from the baseline must not gate, got %v", f)
-	}
-}
-
-func TestHostComparable(t *testing.T) {
-	if !hostA.comparable(hostA) {
-		t.Fatal("identical hosts must be comparable")
-	}
-	if hostA.comparable(hostB) {
-		t.Fatal("different hosts must not be comparable")
-	}
-	upgraded := hostA
-	upgraded.GoVersion = "go1.99.0"
-	if !hostA.comparable(upgraded) {
-		t.Fatal("a Go version bump alone must not disable the gate")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			i := slices.IndexFunc(gates, func(g gate) bool { return g.name == c.gate })
+			if i < 0 {
+				t.Fatalf("no gate %q", c.gate)
+			}
+			g := evaluate(gates[i:i+1], c.cur, c.base, 0.10)[0]
+			if g.Pass != c.pass {
+				t.Fatalf("pass = %v, want %v: %+v", g.Pass, c.pass, g)
+			}
+			for _, s := range c.why {
+				if !strings.Contains(g.Why, s) {
+					t.Errorf("verdict %q does not name %q", g.Why, s)
+				}
+			}
+		})
 	}
 }
 
 func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	in := report(hostA,
-		Result{P: 8, N: 262144, ElemsPerSec: 123456.5, StdlibElemsPerSec: 234567.5, Runs: 3})
+	path := filepath.Join(t.TempDir(), "bench.json")
+	in := &Report{Host: hostFingerprint(), Cells: []Result{perSec("kernel/p8/n262144", 123456.5, 234567.5)}}
+	_, gates := table(io.Discard, false)
+	in.Gates = evaluate(gates, in.Cells, in.Cells, 0.10)
 	if err := writeReport(path, in); err != nil {
 		t.Fatal(err)
 	}
@@ -107,24 +107,86 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Host != in.Host || len(out.Results) != 1 || out.Results[0] != in.Results[0] {
+	if out.Host != in.Host || !slices.Equal(out.Cells, in.Cells) || !slices.Equal(out.Gates, in.Gates) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
+	}
+	if _, err := readReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Fatal("a missing baseline must be an error")
 	}
 }
 
 func TestMeasureSortsCorrectly(t *testing.T) {
-	r, err := measure(cellSpec{p: 4, n: 4096}, 1)
+	res, err := sortCell("kernel/p4/n4096", 4096, 1, sorts(kernel(4), stdlib)).measure(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ElemsPerSec <= 0 || r.StdlibElemsPerSec <= 0 || r.N != 4096 || r.P != 4 {
+	if len(res) != 1 {
+		t.Fatalf("%d results, want 1", len(res))
+	}
+	r := res[0]
+	if r.Name != "kernel/p4/n4096" || r.Subject <= 0 || r.Floor <= 0 || r.Ratio != r.Subject/r.Floor || r.Rounds != 1 {
 		t.Fatalf("bad result: %+v", r)
 	}
 }
 
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-tolerance", "0"}, {"-tolerance", "1"}, {"-tolerance", "-0.1"}, {"-runs", "0"}, {"-observed"}} {
+		if err := run(io.Discard, args, table); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+	}
+}
+
+func TestQoSSpecAndConfigValidate(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		s := qosSpec(quick)
+		// The knee search and the replay scale the spec; the scaled
+		// extremes must stay valid.
+		for _, f := range []float64{1, 0.5, 64} {
+			if err := s.Scaled(f).Validate(); err != nil {
+				t.Fatalf("qosSpec(quick=%v).Scaled(%v) invalid: %v", quick, f, err)
+			}
+			if err := qosConfig(s.Scaled(f)).Validate(); err != nil {
+				t.Fatalf("qosConfig(quick=%v, x%v) invalid: %v", quick, f, err)
+			}
+		}
+		// The mix is the contract: exactly the two classes the cell
+		// reads back out of the reports, at equal offered rates.
+		if len(s.Classes) != 2 || s.Classes[0].Name != qosLatClass || s.Classes[1].Name != qosBulkClass {
+			t.Fatalf("qosSpec classes: %+v", s.Classes)
+		}
+		if s.Classes[0].Arrival.Rate != s.Classes[1].Arrival.Rate {
+			t.Fatalf("qos mix is not 50/50: %v vs %v", s.Classes[0].Arrival.Rate, s.Classes[1].Arrival.Rate)
+		}
+	}
+}
+
+// TestCorruptSubjectFailsQuickRun runs the quick table with its first
+// cell's subject returning one key out of place: the run must fail on
+// that cell, although -quick never fails on performance.
+func TestCorruptSubjectFailsQuickRun(t *testing.T) {
+	corrupt := func(d []int) error {
+		slices.Sort(d)
+		d[len(d)/2], d[len(d)/2+1] = d[len(d)/2+1], d[len(d)/2]
+		return nil
+	}
+	var name string
+	tab := func(w io.Writer, quick bool) ([]cell, []gate) {
+		cells, gates := table(w, quick)
+		name = cells[0].metrics[0].name
+		cells[0] = sortCell(name, 1<<14, 1, sorts(corrupt, stdlib))
+		return cells, gates
+	}
+	err := run(io.Discard, []string{"-quick", "-runs", "1", "-baseline", filepath.Join(t.TempDir(), "missing.json")}, tab)
+	if err == nil || !strings.Contains(err.Error(), name+": subject: output is not the keys in order") {
+		t.Fatalf("corrupt subject: err = %v", err)
+	}
+}
+
+// TestQuickSmokeWithoutBaseline runs the whole quick table, as CI does.
 func TestQuickSmokeWithoutBaseline(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs real sorts")
+		t.Skip("runs every cell of the table")
 	}
 	dir := t.TempDir()
 	var sb strings.Builder
@@ -132,14 +194,22 @@ func TestQuickSmokeWithoutBaseline(t *testing.T) {
 		"-quick", "-runs", "1",
 		"-baseline", filepath.Join(dir, "missing.json"),
 		"-out", filepath.Join(dir, "out.json"),
-	})
+	}, table)
 	if err != nil {
 		t.Fatalf("quick smoke must not fail without a baseline: %v\n%s", err, sb.String())
 	}
 	if !strings.Contains(sb.String(), "smoke passed") {
 		t.Fatalf("expected smoke summary, got:\n%s", sb.String())
 	}
-	if _, err := os.Stat(filepath.Join(dir, "out.json")); err != nil {
-		t.Fatalf("-out report not written: %v", err)
+	rep, err := readReport(filepath.Join(dir, "out.json"))
+	if err != nil {
+		t.Fatalf("-out report: %v", err)
+	}
+	cells, gates := table(io.Discard, true)
+	if len(rep.Cells) < len(cells) || len(rep.Gates) != len(gates) || !rep.Quick {
+		t.Fatalf("report has %d results and %d gates for %d cells and %d gates", len(rep.Cells), len(rep.Gates), len(cells), len(gates))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "missing.json")); !os.IsNotExist(err) {
+		t.Fatalf("a quick run must not write the baseline: %v", err)
 	}
 }

@@ -38,18 +38,35 @@ import (
 )
 
 func main() {
-	o := options{}
-	flag.DurationVar(&o.duration, "duration", 30*time.Second, "how long to run")
-	flag.Uint64Var(&o.seed, "seed", 1, "campaign seed")
-	flag.IntVar(&o.maxN, "maxn", 512, "largest input size")
-	flag.BoolVar(&o.verbose, "v", false, "print every run")
-	flag.StringVar(&o.listen, "listen", "", "serve live metrics/pprof on this address (e.g. :6060)")
-	flag.Parse()
+	os.Exit(stress(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	failures := run(os.Stdout, o)
-	if failures > 0 {
-		os.Exit(1)
+// stress parses args and runs the campaign. It returns the exit status:
+// 2 for bad flags, 1 if any run failed.
+func stress(args []string, stdout, stderr io.Writer) int {
+	o := options{}
+	fs := flag.NewFlagSet("stress", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.DurationVar(&o.duration, "duration", 30*time.Second, "how long to run")
+	fs.Uint64Var(&o.seed, "seed", 1, "campaign seed")
+	fs.IntVar(&o.maxN, "maxn", 512, "largest input size (at least 8)")
+	fs.BoolVar(&o.verbose, "v", false, "print every run")
+	fs.StringVar(&o.listen, "listen", "", "serve live metrics/pprof on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
+	// The native leg draws sizes from [8, maxn].
+	if o.maxN < 8 || o.duration <= 0 {
+		fmt.Fprintf(stderr, "stress: need -maxn >= 8 and -duration > 0, got -maxn %d -duration %v\n", o.maxN, o.duration)
+		return 2
+	}
+	if run(stdout, o) > 0 {
+		return 1
+	}
+	return 0
 }
 
 type options struct {

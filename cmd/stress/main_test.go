@@ -88,3 +88,24 @@ func TestStressListen(t *testing.T) {
 		t.Fatalf("campaign failures: %d", failures)
 	}
 }
+
+// TestStressRejectsBadFlags: sizes the campaign cannot draw, or no time
+// to run, exit with status 2 and a message before any run starts.
+func TestStressRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-duration", "1s", "-maxn", "5"},
+		{"-duration", "1s", "-maxn", "0"},
+		{"-duration", "0s"},
+		{"-duration", "-1s"},
+		{"-nope"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := stress(args, &stdout, &stderr); code != 2 || stderr.Len() == 0 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want 2 with a message and no runs", args, code, stdout.String(), stderr.String())
+		}
+	}
+	var stdout bytes.Buffer
+	if code := stress([]string{"-duration", "50ms", "-maxn", "8"}, &stdout, io.Discard); code != 0 {
+		t.Errorf("the smallest campaign exited %d:\n%s", code, stdout.String())
+	}
+}

@@ -400,31 +400,33 @@ func RunPram(spec Spec) ([]int, *model.Metrics, error) {
 
 // Differential runs one seeded crash schedule through the simulator and
 // through the native runtime, and errors unless both sorted outputs
-// equal the stable-sorted reference and the native run certifies — the
-// cross-runtime consistency check behind the repo's central claim.
-func Differential(keys []int, p int, seed uint64, crashes []model.Crash) error {
+// equal the stable-sorted reference, the native run certifies and every
+// kill it scheduled landed — the cross-runtime consistency check behind
+// the repo's central claim. It returns the native run's result.
+func Differential(keys []int, p int, seed uint64, crashes []model.Crash) (Result, error) {
 	ref := SortedRef(keys)
 	spec := Spec{Keys: keys, P: p, Seed: seed, Crashes: crashes}
 
 	simOut, _, err := RunPram(spec)
 	if err != nil {
-		return fmt.Errorf("pram run: %w", err)
+		return Result{}, fmt.Errorf("pram run: %w", err)
 	}
 	if !equalInts(simOut, ref) {
-		return fmt.Errorf("pram output differs from the stable-sorted reference")
+		return Result{}, fmt.Errorf("pram output differs from the stable-sorted reference")
 	}
 	res, err := RunNative(spec)
-	if err != nil {
-		return fmt.Errorf("native run: %w", err)
-	}
-	if !res.Sorted {
-		return fmt.Errorf("native output differs from the reference (%s)", res.Error)
-	}
-	if !res.Certified {
-		return fmt.Errorf("native run exceeded the op ceiling: max ops %d > bound %d (survivors %d)",
+	switch {
+	case err != nil:
+		return res, fmt.Errorf("native run: %w", err)
+	case !res.Sorted:
+		return res, fmt.Errorf("native output differs from the reference (%s)", res.Error)
+	case !res.Certified:
+		return res, fmt.Errorf("native run exceeded the op ceiling: max ops %d > bound %d (survivors %d)",
 			res.MaxOps, res.Bound, res.Survivors)
+	case res.Killed != res.Scheduled:
+		return res, fmt.Errorf("native run landed %d of %d scheduled kills", res.Killed, res.Scheduled)
 	}
-	return nil
+	return res, nil
 }
 
 // Policy is one named adversary configuration of the sweep.
@@ -537,11 +539,14 @@ func Sweep(o SweepOptions) (*Report, error) {
 			record(fmt.Sprintf("policy %s p=%d", pol.Name, p), res)
 		}
 	}
-	// Cross-runtime differential, one seeded crash quorum per P.
+	// Cross-runtime differential, one seeded crash quorum per P. As in
+	// BuildSpec, kills fall within each victim's first killWindow
+	// operations, so every one lands on the native run.
 	for _, p := range o.Ps {
-		crashes := CrashQuorum(p, 0.5, int64(o.N), o.Seed+uint64(p))
-		label := fmt.Sprintf("p=%d crashes=%d", p, len(crashes))
-		if err := Differential(keys, p, o.Seed, crashes); err != nil {
+		crashes := CrashQuorum(p, 0.5, killWindow, o.Seed+uint64(p))
+		res, err := Differential(keys, p, o.Seed, crashes)
+		label := fmt.Sprintf("p=%d kills %d/%d landed", p, res.Killed, len(crashes))
+		if err != nil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("differential %s: %v", label, err))
 		} else {
 			rep.Differential = append(rep.Differential, label+": identical output on pram and native")

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,14 +11,19 @@ import (
 // TestDifferentialCrashSchedule is the cross-runtime acceptance check:
 // the same seeded crash schedule pushed through the simulator and the
 // native runtime yields identical, correct sorted output at P in
-// {2, 4, 8}.
+// {2, 4, 8}, with every scheduled kill landed. A kill scheduled past
+// its victim's last operation never lands, and must fail the check.
 func TestDifferentialCrashSchedule(t *testing.T) {
 	keys := randKeys(1024, 0xd1ff)
 	for _, p := range []int{2, 4, 8} {
-		crashes := CrashQuorum(p, 0.5, int64(len(keys)), 0xc0de+uint64(p))
-		if err := Differential(keys, p, 42, crashes); err != nil {
+		crashes := CrashQuorum(p, 0.5, killWindow, 0xc0de+uint64(p))
+		if _, err := Differential(keys, p, 42, crashes); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
+	}
+	late := []model.Crash{{PID: 1, Step: 1 << 40}}
+	if res, err := Differential(keys, 4, 42, late); err == nil || res.Killed != 0 {
+		t.Errorf("a kill that never lands: killed %d, err %v; want 0 and an error", res.Killed, err)
 	}
 }
 
@@ -26,9 +32,39 @@ func TestDifferentialCrashSchedule(t *testing.T) {
 func TestDifferentialFaultless(t *testing.T) {
 	keys := randKeys(512, 7)
 	for _, p := range []int{2, 4} {
-		if err := Differential(keys, p, 1, nil); err != nil {
+		if _, err := Differential(keys, p, 1, nil); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
+	}
+}
+
+// TestSweepDifferentialLandsEveryKill reads the sweep's differential
+// lines at P in {2, 4, 8} over three seeds: each must report its kills
+// landed, every scheduled kill must have landed, and some must have
+// been scheduled. A quorum drawn from N op ordinals lands about half.
+func TestSweepDifferentialLandsEveryKill(t *testing.T) {
+	scheduled := 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		rep, err := Sweep(SweepOptions{N: 1024, Ps: []int{2, 4, 8}, Seed: seed, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Differential) != 3 {
+			t.Fatalf("seed %d: %d differentials passed, want 3; failures: %v", seed, len(rep.Differential), rep.Failures)
+		}
+		for _, line := range rep.Differential {
+			var p, landed, sched int
+			if _, err := fmt.Sscanf(line, "p=%d kills %d/%d landed", &p, &landed, &sched); err != nil {
+				t.Fatalf("seed %d: differential line %q: %v", seed, line, err)
+			}
+			if landed != sched {
+				t.Errorf("seed %d p=%d: %d of %d scheduled kills landed", seed, p, landed, sched)
+			}
+			scheduled += sched
+		}
+	}
+	if scheduled == 0 {
+		t.Fatal("no differential scheduled a kill")
 	}
 }
 

@@ -222,9 +222,9 @@ func (b *HTTPBackend) Probe(ctx context.Context) (Probe, error) {
 }
 
 // HandlerBackend drives a backend's http.Handler in-process — the
-// transport the cluster test harness, the soak and the benchgate
-// -cluster gate run on, so the whole fan-out is exercised under the
-// race detector without sockets. internal/server's Handler() plugs in
+// transport the cluster test harness, the soak and benchgate's cluster
+// cell run on, so the whole fan-out is exercised under the race
+// detector without sockets. internal/server's Handler() plugs in
 // directly.
 type HandlerBackend struct {
 	Handler http.Handler

@@ -131,8 +131,8 @@ func TestClusterSortSmallAndEmpty(t *testing.T) {
 // TestClusterBackendKillMidSort is the chaos leg: one backend serves
 // two shard requests then fail-stops mid-fan-out. The sort must
 // complete via redispatch, count its redispatches, and produce output
-// byte-identical to the faultless run — the determinism the benchgate
-// kill leg certifies.
+// byte-identical to the faultless run — the determinism DESIGN §15
+// promises, checked here and nowhere else.
 func TestClusterBackendKillMidSort(t *testing.T) {
 	keys := randKeys(20_000, 13)
 

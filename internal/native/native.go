@@ -55,8 +55,9 @@ type Config struct {
 	// periodic op-ordinal snapshots into its own wait-free event ring
 	// (see internal/obs), and per-phase latency histograms are merged
 	// into the run's Metrics. When nil — the default — the hot path
-	// pays a single pointer nil-check per operation (gated by
-	// cmd/benchgate). An Observer drives at most one run.
+	// pays a single pointer nil-check per operation (gated by the
+	// observer cells of cmd/benchgate). An Observer drives at most one
+	// run.
 	Observer *obs.Observer
 }
 

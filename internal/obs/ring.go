@@ -22,8 +22,8 @@
 //     complementing internal/chaos's offline op-ceiling certification.
 //
 // Everything is opt-in: native.Config.Observer is nil by default and
-// the hot-path hook is a single pointer nil-check (gated by
-// cmd/benchgate).
+// the hot-path hook is a single pointer nil-check (gated by the
+// observer cells of cmd/benchgate).
 package obs
 
 import "sync/atomic"

@@ -101,8 +101,9 @@ type Config struct {
 	FlightGap time.Duration
 	// TraceOff disables the request trace plane — trace IDs, stage
 	// clocks, exemplar offers, per-stage histograms — leaving only the
-	// pre-trace span log. It exists for the benchgate overhead A/B; a
-	// production server keeps tracing on.
+	// pre-trace span log. It exists for benchgate's trace cells, which
+	// time a traced server against a TraceOff twin; a production server
+	// keeps tracing on.
 	TraceOff bool
 }
 
