@@ -541,6 +541,24 @@ func qosTarget(cfg *qos.Config) (loadgen.Target, func(), error) {
 	return &loadgen.HandlerTarget{Handler: hs[0]}, stop, nil
 }
 
+// qosKneeSearch is the search for the FIFO server's knee on spec: a
+// doubling ladder from spec's own rate up to 64 times it (quick: the
+// spec's rate alone), refined inside the bracket it finds.
+func qosKneeSearch(w io.Writer, spec *loadgen.Spec, quick bool) loadgen.KneeConfig {
+	start := spec.TotalRate()
+	ceiling := 64 * start
+	if quick {
+		ceiling = start
+	}
+	return loadgen.KneeConfig{
+		CapacityConfig: loadgen.CapacityConfig{
+			Base: spec, SLOMs: qosSLOMs, MaxShedFrac: qosMaxShed, Log: w,
+			NewTarget: func() (loadgen.Target, func(), error) { return qosTarget(nil) },
+		},
+		Start: start, Max: ceiling, Refine: 5,
+	}
+}
+
 // qosCell finds the FIFO server's knee on qosSpec, then replays one
 // seeded trace at qosLoad times the knee against a server with the QoS
 // plane (subject) and a FIFO one (floor). Its costs are the latency
@@ -554,18 +572,9 @@ func qosCell(w io.Writer, quick bool) cell {
 	metrics := []metric{{"qos/lat-p99", "ms"}, {"qos/bulk-ok", "ms/ok"}, {"qos/lat-ok", "ms/ok"}}
 	return cell{metrics: metrics, rounds: 1, open: func() (side, side, func(), error) {
 		spec := qosSpec(quick)
-		start := spec.TotalRate()
-		ceiling := 64 * start
-		if quick {
-			ceiling = start
-		}
-		knee, err := loadgen.FindKnee(context.Background(), loadgen.KneeConfig{
-			CapacityConfig: loadgen.CapacityConfig{
-				Base: spec, SLOMs: qosSLOMs, MaxShedFrac: qosMaxShed, Log: w,
-				NewTarget: func() (loadgen.Target, func(), error) { return qosTarget(nil) },
-			},
-			Start: start, Max: ceiling, Refine: 5,
-		})
+		search := qosKneeSearch(w, spec, quick)
+		start := search.Start
+		knee, err := loadgen.FindKnee(context.Background(), search)
 		if err != nil {
 			return nil, nil, nil, err
 		}
