@@ -180,18 +180,20 @@ func (c *campaign) oneNative() (string, error) {
 
 	s, alloc := layout.Native(n, p)
 
+	mem := make([]native.Word, alloc.Size())
 	ob := obs.New(obs.Config{RingCap: 1024, SnapshotEvery: 256})
-	rt := native.New(native.Config{
-		P: p, Mem: alloc.Size(), Seed: seed,
-		Less: harness.LessFor(keys), Observer: ob,
-	})
-	ob.SetProgress(func() (int, int) { return s.LiveProgress(rt.Memory()) })
+	ob.SetProgress(func() (int, int) { return s.LiveProgress(mem) })
 	obs.Publish(ob)
-	s.Seed(rt.Memory())
-	if _, err := rt.Run(s.Program()); err != nil {
+	s.Seed(mem)
+	team := native.NewTeam(p, false)
+	defer team.Close()
+	if _, err := team.Run(native.TeamJob{
+		Graph: s.Graph(), Mem: mem, Seed: seed,
+		Less: harness.LessFor(keys), Observer: ob,
+	}); err != nil {
 		return label, err
 	}
-	return label, verifyRanks(keys, s.Places(rt.Memory()))
+	return label, verifyRanks(keys, s.Places(mem))
 }
 
 // verifyRanks checks the claimed 1-based ranks against the true ones.

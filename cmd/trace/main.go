@@ -29,7 +29,7 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 
 	"wfsort/internal/harness"
 	"wfsort/internal/layout"
@@ -127,22 +127,25 @@ func runNative(w io.Writer, n, p int, seed uint64, out string) error {
 	keys := harness.MakeKeys(harness.InputRandom, n, seed)
 	s, alloc := layout.Native(n, p)
 
+	mem := make([]native.Word, alloc.Size())
+	s.Seed(mem)
 	ob := obs.New(obs.Config{})
-	rt := native.New(native.Config{
-		P: p, Mem: alloc.Size(), Seed: seed,
-		Less: harness.LessFor(keys), CountOps: true, Observer: ob,
+	team := native.NewTeam(p, true)
+	defer team.Close()
+	run := team.Start(native.TeamJob{
+		Graph: s.Graph(), Mem: mem, Seed: seed,
+		Less: harness.LessFor(keys), Observer: ob,
 	})
-	s.Seed(rt.Memory())
-	met, err := rt.Run(s.Program())
+	met, err := run.Wait()
 	if err != nil {
 		return err
 	}
-	if !ranksSorted(keys, s.Places(rt.Memory())) {
-		return fmt.Errorf("native run output is not sorted")
+	if !slices.Equal(s.Places(mem), harness.WantRanks(keys)) {
+		return fmt.Errorf("native run output is not the stable sort of its input")
 	}
 	return writeTrace(w, out, obs.NewTrace().AddObserver(ob), func() {
 		fmt.Fprintf(w, "kernel sort (native), N=%d P=%d: elapsed=%v\n%s\n",
-			n, p, rt.Elapsed, met)
+			n, p, run.Elapsed, met)
 	})
 }
 
@@ -168,18 +171,4 @@ func writeTrace(w io.Writer, out string, t *obs.Trace, summary func()) error {
 	summary()
 	fmt.Fprintf(w, "perfetto trace written to %s — open it at https://ui.perfetto.dev\n", out)
 	return nil
-}
-
-// ranksSorted verifies the places form a permutation that sorts keys.
-func ranksSorted(keys []int, places []int) bool {
-	out := make([]int, len(keys))
-	seen := make([]bool, len(keys))
-	for i, r := range places {
-		if r < 1 || r > len(keys) || seen[r-1] {
-			return false
-		}
-		seen[r-1] = true
-		out[r-1] = keys[i]
-	}
-	return sort.IntsAreSorted(out)
 }

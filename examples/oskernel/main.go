@@ -7,11 +7,13 @@
 // inconsistent state. [...] if other processors become free, one can
 // spawn more threads to speed up the sorting process."
 //
-// This example starts a background sort on several workers, reaps half
-// of them mid-run (simulating the OS reclaiming processors for other
-// work), later respawns one (a processor freed up again), and shows the
-// sort still finishes correctly — no locks, no coordination with the
-// "kernel".
+// This example starts a background sort on a team of workers, reaps
+// half of them mid-run (simulating the OS reclaiming processors for
+// other work), later respawns one (a processor freed up again), and
+// shows the sort still finishes correctly — no locks, no coordination
+// with the "kernel". The kernel reaps with Team.Kill and hands a
+// processor back through the job's Respawner, the one way a reaped
+// worker returns.
 //
 // Run with:
 //
@@ -26,9 +28,28 @@ import (
 	"time"
 
 	"wfsort/internal/layout"
+	"wfsort/internal/model"
 	"wfsort/internal/native"
 	"wfsort/internal/xrand"
 )
+
+// kernel stands in for the OS. As the job's adversary it strikes
+// nothing; its Respawn holds the one reaped worker it will revive until
+// that worker's processor is freed, and refuses the rest.
+type kernel struct {
+	revive int           // the worker whose processor is handed back
+	freed  chan struct{} // closed when that processor frees up
+}
+
+func (k *kernel) Strike(int, int64) model.Fault { return model.Fault{} }
+
+func (k *kernel) Respawn(pid, deaths int) bool {
+	if pid != k.revive || deaths != 1 {
+		return false
+	}
+	<-k.freed
+	return true
+}
 
 func main() {
 	const n = 300_000
@@ -48,42 +69,45 @@ func main() {
 		return i < j
 	}
 	sorter, arena := layout.Native(n, workers)
-	rt := native.New(native.Config{P: workers, Mem: arena.Size(), Less: less})
-	sorter.Seed(rt.Memory())
+	mem := make([]native.Word, arena.Size())
+	sorter.Seed(mem)
+	team := native.NewTeam(workers, false)
+	defer team.Close()
+	k := &kernel{revive: workers / 2, freed: make(chan struct{})}
+
+	fmt.Printf("sorting %d elements in the background on %d workers...\n", n, workers)
+	start := time.Now()
+	run := team.Start(native.TeamJob{Graph: sorter.Graph(), Mem: mem, Less: less, Adversary: k})
 
 	// The "kernel": while the sort runs in the background, reclaim half
 	// the processors, then hand one back.
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		for pid := workers / 2; pid < workers; pid++ {
-			rt.Kill(pid)
+			team.Kill(pid)
 		}
 		fmt.Printf("kernel: reaped workers %d..%d mid-sort\n", workers/2, workers-1)
 
 		time.Sleep(2 * time.Millisecond)
-		if err := rt.Respawn(workers / 2); err == nil {
-			fmt.Printf("kernel: processor freed up — respawned worker %d\n", workers/2)
-		} else {
-			// The survivors may already have finished; that is success,
-			// not failure.
-			fmt.Printf("kernel: respawn unnecessary (%v)\n", err)
-		}
+		fmt.Printf("kernel: processor freed up — worker %d may respawn\n", workers/2)
+		close(k.freed)
 	}()
-
-	fmt.Printf("sorting %d elements in the background on %d workers...\n", n, workers)
-	start := time.Now()
-	met, err := rt.Run(sorter.Program())
+	met, err := run.Wait()
 	if err != nil {
 		log.Fatal(err)
 	}
+	<-k.freed // the kernel goroutine has printed its last line
 
 	// Verify: ranks must be a correct sort despite the reaping.
-	ranks := sorter.Places(rt.Memory())
+	ranks := sorter.Places(mem)
 	out := make([]int, n)
 	for i, r := range ranks {
 		out[r-1] = keys[i]
 	}
-	fmt.Printf("finished in %s; %d workers were reaped during the run\n",
-		time.Since(start).Round(time.Millisecond), met.Killed)
-	fmt.Printf("output sorted: %v\n", sort.IntsAreSorted(out))
+	fmt.Printf("finished in %s; %d workers were reaped and %d respawned during the run\n",
+		time.Since(start).Round(time.Millisecond), met.Killed, met.Respawns)
+	if !sort.IntsAreSorted(out) {
+		log.Fatal("output sorted: false")
+	}
+	fmt.Println("output sorted: true")
 }

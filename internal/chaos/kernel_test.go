@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wfsort/internal/layout"
+	"wfsort/internal/model"
 	"wfsort/internal/native"
 	"wfsort/internal/xrand"
 )
@@ -69,20 +70,22 @@ func TestKernelFaultBattery(t *testing.T) {
 				for name, plan := range kernelPlans(p, n, seed*977+uint64(n+p)) {
 					t.Run(fmt.Sprintf("p%d/n%d/%s/%d", p, n, name, seed), func(t *testing.T) {
 						s, a := layout.Native(n, p)
-						rt := native.New(native.Config{
-							P: p, Mem: a.Size(), Seed: seed, Less: lessFor(keys),
-							CountOps: true, Adversary: plan,
+						mem := make([]model.Word, a.Size())
+						s.Seed(mem)
+						team := native.NewTeam(p, true)
+						defer team.Close()
+						run := team.Start(native.TeamJob{
+							Graph: s.Graph(), Mem: mem, Seed: seed, Less: lessFor(keys), Adversary: plan,
 						})
-						s.Seed(rt.Memory())
-						if _, err := rt.Run(s.Program()); err != nil {
+						if _, err := run.Wait(); err != nil {
 							t.Fatal(err)
 						}
-						for i, r := range s.Places(rt.Memory()) {
+						for i, r := range s.Places(mem) {
 							if r != want[i] {
 								t.Fatalf("element %d ranked %d, want %d", i+1, r, want[i])
 							}
 						}
-						for pid, ops := range rt.OpsPerProc() {
+						for pid, ops := range run.OpsPerProc() {
 							if ops > Bound(n) {
 								t.Errorf("worker %d ran %d ops, over the ceiling %d", pid, ops, Bound(n))
 							}

@@ -151,9 +151,11 @@ func claim(p model.Proc, w *wat.WAT, job func(j int)) {
 // sortBlocks is phase 1: claim blocks, sort each privately, publish.
 func (k *Kernel) sortBlocks(p model.Proc) {
 	var buf []int32
-	// Two live goroutines can share a worker id — a respawn may revive
-	// the id before its old goroutine sees its kill — so the slot is
-	// claimed by CAS and the loser sorts in a private buffer.
+	// The slot is claimed by CAS and the loser sorts in a private
+	// buffer. No driver runs two live goroutines under one worker id
+	// now (a Team revives a worker on its own goroutine, after the
+	// unwind), so the CAS is a guard; a driver that revived an id
+	// before its old goroutine saw its kill would need it.
 	if pid := p.ID(); pid < len(k.slots) && k.slots[pid].busy.CompareAndSwap(false, true) {
 		defer k.slots[pid].busy.Store(false)
 		buf = k.slots[pid].buf

@@ -143,9 +143,10 @@ func TestKernelBoundsLocalWork(t *testing.T) {
 }
 
 // TestKernelBusySlotFallsBack covers a worker id whose leaf scratch is
-// already claimed — a respawn can revive an id before its old goroutine
-// sees its kill. The worker must sort in a private buffer and leave the
-// other claimant's slot alone.
+// already claimed. No driver does this now (a Team revives a worker on
+// the goroutine that died), but the slot CAS stays as a guard against
+// two live goroutines sharing an id: the worker must sort in a private
+// buffer and leave the other claimant's slot alone.
 func TestKernelBusySlotFallsBack(t *testing.T) {
 	keys := randKeys(2000, 3)
 	var a model.Arena

@@ -156,7 +156,8 @@ func (g *Graph) RunNotify(p model.Proc, notify func(k int)) {
 	}
 }
 
-// Program adapts the graph to the runtimes' entry-point type.
+// Program adapts the graph to the simulator's entry-point type
+// (pram.Machine.Run); native.Team runs the graph itself.
 func (g *Graph) Program() model.Program {
 	return func(p model.Proc) { g.Run(p) }
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"wfsort/internal/baseline"
+	"wfsort/internal/chaos"
 	"wfsort/internal/core"
 	"wfsort/internal/model"
 	"wfsort/internal/pram"
@@ -97,7 +98,7 @@ func E10Failures(o Options) (*Table, error) {
 			var sched pram.Scheduler
 			if frac > 0 {
 				sched = pram.WithCrashes(pram.Synchronous(),
-					SurvivorCrashes(p, frac, 500, o.Seed+uint64(1000*frac)))
+					chaos.CrashQuorum(p, frac, 500, o.Seed+uint64(1000*frac)))
 			}
 			steps, correct, err := alg.run(keys, sched)
 			outcome := "sorted"

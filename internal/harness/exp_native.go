@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
-	"wfsort/internal/core"
 	"wfsort/internal/layout"
 	"wfsort/internal/native"
 )
@@ -40,49 +40,47 @@ func E13Native(o Options) (*Table, error) {
 	sort.Ints(ref)
 	stdElapsed := time.Since(t0)
 
-	workersList := []int{1, 2, runtime.NumCPU()}
-	for _, p := range workersList {
-		rt, s, err := buildNative(keys, p, o.Seed)
+	// sortOn sorts keys on a one-job team of p workers and adds the
+	// row; with reap set, the upper half of the team is reaped 2 ms
+	// into the job and the survivors finish.
+	sortOn := func(p int, reap bool) error {
+		k, a := layout.Native(n, p)
+		mem := make([]native.Word, a.Size())
+		k.Seed(mem)
+		team := native.NewTeam(p, false)
+		defer team.Close()
+		run := team.Start(native.TeamJob{Graph: k.Graph(), Mem: mem, Seed: o.Seed, Less: LessFor(keys)})
+		workers := fmt.Sprint(p)
+		var reaper sync.WaitGroup
+		if reap {
+			workers = fmt.Sprintf("%d (reap %d)", p, p/2)
+			reaper.Add(1)
+			go func() {
+				defer reaper.Done()
+				time.Sleep(2 * time.Millisecond)
+				for pid := p / 2; pid < p; pid++ {
+					team.Kill(pid)
+				}
+			}()
+		}
+		met, err := run.Wait()
+		reaper.Wait()
 		if err != nil {
+			return err
+		}
+		t.AddRow(n, workers, run.Elapsed.Round(time.Millisecond).String(),
+			stdElapsed.Round(time.Millisecond).String(), ranksMatch(k.Places(mem), keys), met.Killed)
+		return nil
+	}
+	for _, p := range []int{1, 2, runtime.NumCPU()} {
+		if err := sortOn(p, false); err != nil {
 			return nil, err
 		}
-		met, err := rt.Run(s.Program())
-		if err != nil {
-			return nil, err
-		}
-		correct := ranksMatch(s.Places(rt.Memory()), keys)
-		t.AddRow(n, p, rt.Elapsed.Round(time.Millisecond).String(),
-			stdElapsed.Round(time.Millisecond).String(), correct, met.Killed)
 	}
-
-	// Kill tolerance: reap half the workers mid-sort; survivors finish.
-	p := max(runtime.NumCPU(), 4)
-	rt, s, err := buildNative(keys, p, o.Seed)
-	if err != nil {
+	if err := sortOn(max(runtime.NumCPU(), 4), true); err != nil {
 		return nil, err
 	}
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		for pid := p / 2; pid < p; pid++ {
-			rt.Kill(pid)
-		}
-	}()
-	met, err := rt.Run(s.Program())
-	if err != nil {
-		return nil, err
-	}
-	correct := ranksMatch(s.Places(rt.Memory()), keys)
-	t.AddRow(n, fmt.Sprintf("%d (reap %d)", p, p/2),
-		rt.Elapsed.Round(time.Millisecond).String(),
-		stdElapsed.Round(time.Millisecond).String(), correct, met.Killed)
 	t.Notef("killed column counts reaped goroutines; correctness holds regardless — the wait-free guarantee on real hardware")
 	t.Notef("every claim, publication and merge-round write is a shared-memory operation; the rows show kill tolerance and the distance to the sequential floor, not a tuned sort race")
 	return t, nil
-}
-
-func buildNative(keys []int, p int, seed uint64) (*native.Runtime, *core.Kernel, error) {
-	k, a := layout.Native(len(keys), p)
-	rt := native.New(native.Config{P: p, Mem: a.Size(), Seed: seed, Less: LessFor(keys)})
-	k.Seed(rt.Memory())
-	return rt, k, nil
 }

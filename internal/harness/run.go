@@ -146,17 +146,3 @@ func ranksMatch(got []int, keys []int) bool {
 	}
 	return true
 }
-
-// SurvivorCrashes builds a crash list that kills roughly frac of p
-// processors inside the step window but always spares processor 0, so
-// completion is possible.
-func SurvivorCrashes(p int, frac float64, window int64, seed uint64) []pram.Crash {
-	crashes := pram.RandomCrashes(p, frac, window, seed)
-	kept := crashes[:0]
-	for _, c := range crashes {
-		if c.PID != 0 {
-			kept = append(kept, c)
-		}
-	}
-	return kept
-}

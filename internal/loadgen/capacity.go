@@ -17,7 +17,8 @@ type CapacityConfig struct {
 	// hits the point's target.
 	Base *Spec
 	// Rates are the aggregate offered rates (req/s) to test,
-	// ascending. The sweep stops at the first failing point.
+	// ascending. A point that fails is run twice more, and the sweep
+	// stops at the first point that fails at least 2 of its 3 runs.
 	Rates []float64
 	// SLOMs is the p99 latency SLO in milliseconds a point must meet,
 	// measured over the totals row. A class with its own SLOMs is
@@ -52,8 +53,8 @@ type CapacityPoint struct {
 	Why string `json:"why,omitempty"`
 }
 
-// CapacityReport is a completed sweep: every evaluated point plus the
-// knee. KneeRPS is 0 when no point met the SLO.
+// CapacityReport is a completed sweep: every run of every evaluated
+// point plus the knee. KneeRPS is 0 when no point met the SLO.
 type CapacityReport struct {
 	SLOMs       float64         `json:"slo_ms"`
 	MaxShedFrac float64         `json:"max_shed_frac"`
@@ -69,7 +70,10 @@ type CapacityReport struct {
 
 // SweepCapacity runs the sweep. Correctness failures (unsorted
 // responses, transport errors) fail the point regardless of latency —
-// a fast wrong answer is not capacity.
+// a fast wrong answer is not capacity. A failing point runs twice more,
+// each time on a fresh target, and ends the sweep only if at least 2 of
+// its 3 runs fail, so one noisy run cannot end the search; Points keeps
+// every run.
 func SweepCapacity(ctx context.Context, cfg CapacityConfig) (*CapacityReport, error) {
 	if cfg.Base == nil || len(cfg.Rates) == 0 {
 		return nil, fmt.Errorf("capacity: need a base spec and at least one rate")
@@ -90,37 +94,47 @@ func SweepCapacity(ctx context.Context, cfg CapacityConfig) (*CapacityReport, er
 		if err != nil {
 			return nil, fmt.Errorf("capacity: building trace at %.0f req/s: %w", rate, err)
 		}
-		target, closeTarget, err := cfg.NewTarget()
-		if err != nil {
-			return nil, fmt.Errorf("capacity: target at %.0f req/s: %w", rate, err)
-		}
-		res := Run(ctx, trace, target)
-		report := BuildReport(res)
-		pt := judgePoint(rate, report, cfg)
-		if pt.Pass {
-			// Each passing point overwrites the breakdown, so the report
-			// keeps the one measured at the knee itself. Fetch before the
-			// target closes: an in-process server tears down with it.
-			if sr, ok := target.(StageReporter); ok {
-				if stages, err := sr.Stages(); err == nil && len(stages) > 0 {
-					rep.KneeStages = stages
-				}
+		var (
+			fails  int
+			passed CapacityPoint
+			stages map[string]StageSummary
+		)
+		for run := 0; run == 0 || (fails > 0 && run < 3); run++ {
+			target, closeTarget, err := cfg.NewTarget()
+			if err != nil {
+				return nil, fmt.Errorf("capacity: target at %.0f req/s: %w", rate, err)
 			}
-		}
-		closeTarget()
-		rep.Points = append(rep.Points, pt)
-		if cfg.Log != nil {
+			pt := judgePoint(rate, BuildReport(Run(ctx, trace, target)), cfg)
 			verdict := "PASS"
-			if !pt.Pass {
+			if pt.Pass {
+				passed = pt
+				// Fetch before the target closes: an in-process server
+				// tears down with it.
+				if sr, ok := target.(StageReporter); ok {
+					if st, err := sr.Stages(); err == nil && len(st) > 0 {
+						stages = st
+					}
+				}
+			} else {
+				fails++
 				verdict = "FAIL (" + pt.Why + ")"
 			}
-			fmt.Fprintf(cfg.Log, "capacity %8.1f req/s offered: p99 %7.2f ms, ok/s %8.1f, shed %4.1f%%  %s\n",
-				pt.OfferedRPS, pt.P99Ms, pt.AchievedRPS, 100*pt.ShedFrac, verdict)
+			closeTarget()
+			rep.Points = append(rep.Points, pt)
+			if cfg.Log != nil {
+				fmt.Fprintf(cfg.Log, "capacity %8.1f req/s offered: p99 %7.2f ms, ok/s %8.1f, shed %4.1f%%  %s\n",
+					pt.OfferedRPS, pt.P99Ms, pt.AchievedRPS, 100*pt.ShedFrac, verdict)
+			}
 		}
-		if !pt.Pass {
+		if fails >= 2 {
 			break // past the knee; higher rates only get worse
 		}
-		rep.KneeRPS, rep.KneeOKRPS = pt.OfferedRPS, pt.AchievedRPS
+		// Each passing point overwrites the breakdown, so the report
+		// keeps the one measured at the knee itself.
+		rep.KneeRPS, rep.KneeOKRPS = rate, passed.AchievedRPS
+		if stages != nil {
+			rep.KneeStages = stages
+		}
 	}
 	return rep, nil
 }
@@ -157,12 +171,11 @@ func FindKnee(ctx context.Context, cfg KneeConfig) (*CapacityReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	last := rep.Points[len(rep.Points)-1]
-	if rep.KneeRPS == 0 || last.Pass || cfg.Refine < 1 {
+	lo, hi := rep.KneeRPS, rep.Points[len(rep.Points)-1].OfferedRPS
+	if lo == 0 || lo == hi || cfg.Refine < 1 {
 		// Failed at Start, or never failed up to Max: no bracket.
 		return rep, nil
 	}
-	lo, hi := rep.KneeRPS, last.OfferedRPS
 	var fine []float64
 	for i := 1; i <= cfg.Refine; i++ {
 		fine = append(fine, lo*math.Pow(hi/lo, float64(i)/float64(cfg.Refine+1)))

@@ -2,7 +2,9 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,15 +68,61 @@ func TestSweepFindsKnee(t *testing.T) {
 	if rep.KneeRPS >= 12800 {
 		t.Fatal("the cliff target should fail before the top rate")
 	}
-	// The sweep stops at the first failing point, and every point up to
-	// the knee passed.
-	for i, p := range rep.Points {
-		if i < len(rep.Points)-1 && !p.Pass {
-			t.Fatalf("non-terminal point failed: %+v", p)
+	// The sweep stops at the first rate that failed 2 of its 3 runs,
+	// and every earlier rate passed: at most one failed run, outvoted
+	// by its two reruns.
+	last := rep.Points[len(rep.Points)-1].OfferedRPS
+	fails := map[float64]int{}
+	for _, p := range rep.Points {
+		if !p.Pass {
+			fails[p.OfferedRPS]++
 		}
 	}
-	if last := rep.Points[len(rep.Points)-1]; last.Pass {
-		t.Fatal("sweep should have ended on a failing point")
+	for rate, n := range fails {
+		if rate != last && n > 1 {
+			t.Fatalf("rate %v failed %d runs but the sweep went on: %+v", rate, n, rep.Points)
+		}
+	}
+	if fails[last] < 2 {
+		t.Fatalf("sweep should have ended on a rate that failed 2 of 3 runs: %+v", rep.Points)
+	}
+}
+
+// TestSweepOutvotesOneFailedRun fails the first run at one rate only:
+// the sweep must rerun that rate on fresh targets, keep every run in
+// Points, and go on past it.
+func TestSweepOutvotesOneFailedRun(t *testing.T) {
+	targets := 0
+	cfg := CapacityConfig{
+		Base:  capBase(),
+		Rates: []float64{100, 200, 400},
+		SLOMs: 20,
+		NewTarget: func() (Target, func(), error) {
+			targets++
+			if targets == 2 { // the first run at 200 req/s
+				return FuncTarget(func(context.Context, string, []int64) ([]int64, int, error) {
+					return nil, 0, errors.New("flaky")
+				}), func() {}, nil
+			}
+			return &rateSensitiveTarget{threshold: 1 << 20}, func() {}, nil
+		},
+	}
+	rep, err := SweepCapacity(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, p := range rep.Points {
+		got = append(got, p.OfferedRPS)
+	}
+	if want := []float64{100, 200, 200, 200, 400}; !slices.Equal(got, want) {
+		t.Fatalf("runs at %v, want %v: %+v", got, want, rep.Points)
+	}
+	if rep.Points[1].Pass || !rep.Points[2].Pass || !rep.Points[3].Pass {
+		t.Fatalf("want only the first run at 200 req/s failed: %+v", rep.Points)
+	}
+	if rep.KneeRPS != 400 {
+		t.Fatalf("knee %v, want 400: one failed run ended the sweep", rep.KneeRPS)
 	}
 }
 

@@ -65,8 +65,7 @@ const (
 	// processor of the paper's fail/delay model — and the fault the
 	// observability plane's progress watchdog (internal/obs) exists to
 	// detect. The run only completes after the blocked processor is
-	// killed (native Runtime.Kill), since Run waits for every
-	// goroutine.
+	// killed (native Team.Kill), since a job waits for every worker.
 	FaultBlock
 )
 

@@ -6,19 +6,21 @@ import (
 	"wfsort/internal/model"
 )
 
-// Respawner is an optional model.Adversary extension for the native
-// runtime. After a killed processor's goroutine has fully unwound, the
-// runtime asks Respawn(pid, deaths) — deaths counts that processor's
-// landed kills this run, starting at 1 — whether to start a fresh
-// incarnation. A revived processor reruns the Program from the
+// Respawner is an optional model.Adversary extension, and a killed
+// worker's only way back into a job. After a killed worker has fully
+// unwound its graph, the Team asks Respawn(pid, deaths) — deaths counts
+// that worker's landed kills this job, starting at 1 — whether to start
+// a fresh incarnation. A revived worker reruns the graph from the
 // beginning (the wait-free algorithms are restartable: completed work
 // is skipped through completion marks) with its op ordinal continuing
 // where the dead incarnation stopped, so later strikes keep targeting
 // cumulative per-processor op counts.
 //
-// Respawn is always called with the runtime's internal lock held and
-// never concurrently; implementations must not call back into the
-// Runtime.
+// Respawn runs on the dying worker's own goroutine with no lock held.
+// Calls for different pids can overlap; calls for one pid are
+// serialized. The job's Wait returns only after every Respawn call has
+// returned, so a Respawn may block — until the processor it stands for
+// is handed back, say — and the job waits for it.
 type Respawner interface {
 	Respawn(pid, deaths int) bool
 }
@@ -31,17 +33,19 @@ type planEvent struct {
 }
 
 // pidPlan is one processor's event stream plus its cursor. The cursor
-// is only ever advanced from that processor's own goroutine (the
-// runtime serializes incarnations of a pid), so it needs no locking.
+// is only ever advanced from that processor's own goroutine (a team
+// runs every incarnation of a pid on one goroutine), so it needs no
+// locking.
 type pidPlan struct {
 	events []planEvent
 	next   int
 }
 
-// Plan is the deterministic fault-injection policy for one native run:
+// Plan is the deterministic fault-injection policy for one native job:
 // kill or stall specific processors at exact per-processor operation
 // ordinals, and optionally revive them once their death has landed. It
-// implements model.Adversary and Respawner; pass it as Config.Adversary.
+// implements model.Adversary and Respawner; pass it as
+// TeamJob.Adversary.
 //
 // Determinism: the native runtime has no global clock, so a Plan's
 // strikes are anchored to each processor's own operation count — the
@@ -51,8 +55,8 @@ type pidPlan struct {
 // Go scheduler does. The same model.Crash specs drive simulator crash
 // schedules (pram.WithCrashes) and native plans (AddCrashes).
 //
-// Build the Plan completely before the run starts; it drives at most
-// one run (per-processor cursors advance as events fire).
+// Build the Plan completely before the job starts; it drives at most
+// one job (per-processor cursors advance as events fire).
 type Plan struct {
 	procs   map[int]*pidPlan
 	revives map[int]int
@@ -95,16 +99,17 @@ func (pl *Plan) StallAt(pid int, op int64, yields int) *Plan {
 
 // BlockAt schedules a permanent stall in place of pid's op-th
 // operation: the processor stops advancing but stays live until killed
-// (Runtime.Kill), the limit case of the fail/delay adversary. The other
+// (Team.Kill), the limit case of the fail/delay adversary. The other
 // workers must finish the sort without it — and the obs watchdog must
-// flag it — but note Run itself only returns once the blocked
+// flag it — but note the job's Wait only returns once the blocked
 // processor is killed.
 func (pl *Plan) BlockAt(pid int, op int64) *Plan {
 	return pl.add(pid, planEvent{op: op, action: model.FaultBlock})
 }
 
 // Revive allows pid to be respawned up to times times: each time one of
-// its kills lands, the runtime starts a fresh incarnation.
+// its kills lands, the worker re-enters the graph as a fresh
+// incarnation.
 func (pl *Plan) Revive(pid, times int) *Plan {
 	pl.revives[pid] = times
 	return pl

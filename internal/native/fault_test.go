@@ -16,19 +16,28 @@ func reader(ops int) model.Program {
 	}
 }
 
+// runReader runs reader(ops) as one job under plan on a fresh counting
+// team of p workers and returns the job's metrics and per-worker ops.
+func runReader(t *testing.T, p, ops int, plan *Plan) (*model.Metrics, []int64) {
+	t.Helper()
+	tm := NewTeam(p, true)
+	defer tm.Close()
+	run := tm.Start(TeamJob{Graph: graphOf(reader(ops)), Mem: make([]Word, 1), Adversary: plan})
+	met, err := run.Wait()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return met, run.OpsPerProc()
+}
+
 // TestPlanKillsAtExactOpCount pins the plan's clock: a kill at ordinal
 // k replaces the k-th operation, so the victim executes exactly k-1.
 func TestPlanKillsAtExactOpCount(t *testing.T) {
 	plan := NewPlan().KillAt(0, 5)
-	rt := New(Config{P: 2, Mem: 1, CountOps: true, Adversary: plan})
-	met, err := rt.Run(reader(10))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	met, ops := runReader(t, 2, 10, plan)
 	if met.Killed != 1 {
 		t.Fatalf("killed = %d, want 1", met.Killed)
 	}
-	ops := rt.OpsPerProc()
 	if ops[0] != 4 {
 		t.Errorf("victim executed %d ops, want 4 (killed in place of op 5)", ops[0])
 	}
@@ -41,15 +50,10 @@ func TestPlanKillsAtExactOpCount(t *testing.T) {
 // kills at the first operation, exactly as pram's "first step >= Step".
 func TestPlanCrashSpecMapping(t *testing.T) {
 	plan := PlanCrashes([]model.Crash{{Step: 0, PID: 1}, {Step: 3, PID: 2}})
-	rt := New(Config{P: 3, Mem: 1, CountOps: true, Adversary: plan})
-	met, err := rt.Run(reader(8))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	met, ops := runReader(t, 3, 8, plan)
 	if met.Killed != 2 {
 		t.Fatalf("killed = %d, want 2", met.Killed)
 	}
-	ops := rt.OpsPerProc()
 	if ops[1] != 0 {
 		t.Errorf("pid 1 executed %d ops, want 0 (Step 0 kills at the first op)", ops[1])
 	}
@@ -65,18 +69,13 @@ func TestPlanCrashSpecMapping(t *testing.T) {
 // and harmless to completion.
 func TestPlanStallCountsAndCompletes(t *testing.T) {
 	plan := NewPlan().StallAt(0, 2, 4).StallAt(1, 3, 1)
-	rt := New(Config{P: 2, Mem: 1, CountOps: true, Adversary: plan})
-	met, err := rt.Run(reader(6))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	met, ops := runReader(t, 2, 6, plan)
 	if met.InjectedStalls != 2 {
 		t.Errorf("injected stalls = %d, want 2", met.InjectedStalls)
 	}
 	if met.Killed != 0 {
 		t.Errorf("killed = %d, want 0", met.Killed)
 	}
-	ops := rt.OpsPerProc()
 	for pid, n := range ops {
 		if n != 6 {
 			t.Errorf("pid %d executed %d ops, want 6 (stalls cost no ops)", pid, n)
@@ -89,11 +88,7 @@ func TestPlanStallCountsAndCompletes(t *testing.T) {
 // across incarnations so the second kill targets the cumulative count.
 func TestPlanReviveContinuesOpOrdinals(t *testing.T) {
 	plan := NewPlan().KillAt(0, 3).KillAt(0, 8).Revive(0, 2)
-	rt := New(Config{P: 2, Mem: 1, CountOps: true, Adversary: plan})
-	met, err := rt.Run(reader(10))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	met, ops := runReader(t, 2, 10, plan)
 	if met.Killed != 2 {
 		t.Errorf("killed = %d, want 2", met.Killed)
 	}
@@ -103,7 +98,7 @@ func TestPlanReviveContinuesOpOrdinals(t *testing.T) {
 	// Incarnation 1 executes ordinals 1-2 (killed at 3); incarnation 2
 	// executes 4-7 (killed at 8); incarnation 3 runs the full program,
 	// ordinals 9-18. Executed ops: 2 + 4 + 10.
-	if ops := rt.OpsPerProc(); ops[0] != 16 {
+	if ops[0] != 16 {
 		t.Errorf("pid 0 executed %d ops across incarnations, want 16", ops[0])
 	}
 }
@@ -114,11 +109,8 @@ func TestPlanReviveContinuesOpOrdinals(t *testing.T) {
 func TestPlanDeterministicOpCounts(t *testing.T) {
 	run := func() []int64 {
 		plan := NewPlan().KillAt(1, 7).KillAt(2, 1).StallAt(0, 5, 2)
-		rt := New(Config{P: 4, Mem: 1, CountOps: true, Adversary: plan})
-		if _, err := rt.Run(reader(20)); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return rt.OpsPerProc()
+		_, ops := runReader(t, 4, 20, plan)
+		return ops
 	}
 	a, b := run(), run()
 	for pid := range a {

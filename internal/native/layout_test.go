@@ -7,6 +7,7 @@ import (
 
 	"wfsort/internal/chaos"
 	"wfsort/internal/core"
+	"wfsort/internal/engine"
 	"wfsort/internal/layout"
 	"wfsort/internal/model"
 	"wfsort/internal/native"
@@ -35,6 +36,11 @@ func testKeys(n int, seed int64) []int {
 		keys[i] = int(v % uint64(4*n))
 	}
 	return keys
+}
+
+// graphOf wraps an ad-hoc program in a one-phase graph a Team can run.
+func graphOf(prog model.Program) *engine.Graph {
+	return engine.New("test").Add(engine.Phase{Name: "test", Quiet: true, Body: func(p model.Proc, _ any) { prog(p) }})
 }
 
 func lessFor(keys []int) func(i, j int) bool {
@@ -128,27 +134,30 @@ func TestRespawnDuringPhase3AllLayouts(t *testing.T) {
 		t.Run(l.name, func(t *testing.T) {
 			s, size := l.build(n, p)
 			adv := &phase3Adversary{victim: 1}
-			rt := native.New(native.Config{
-				P: p, Mem: size, Seed: 7, CountOps: true,
-				Less: lessFor(keys), Adversary: adv,
-			})
-			s.Seed(rt.Memory())
+			mem := make([]model.Word, size)
+			s.Seed(mem)
 			prog := s.Program()
-			met, err := rt.Run(func(pr model.Proc) {
-				prog(phaseTap{Proc: pr, adv: adv, phase: "3:place"})
+			tm := native.NewTeam(p, true)
+			defer tm.Close()
+			run := tm.Start(native.TeamJob{
+				Mem: mem, Seed: 7, Less: lessFor(keys), Adversary: adv,
+				Graph: graphOf(func(pr model.Proc) {
+					prog(phaseTap{Proc: pr, adv: adv, phase: "3:place"})
+				}),
 			})
+			met, err := run.Wait()
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			if met.Killed != 1 || met.Respawns != 1 {
 				t.Errorf("killed=%d respawns=%d, want 1/1", met.Killed, met.Respawns)
 			}
-			for i, r := range s.Places(rt.Memory()) {
+			for i, r := range s.Places(mem) {
 				if r != want[i] {
 					t.Fatalf("element %d placed %d, want %d", i+1, r, want[i])
 				}
 			}
-			for pid, ops := range rt.OpsPerProc() {
+			for pid, ops := range run.OpsPerProc() {
 				if ops > chaos.Bound(n) {
 					t.Errorf("pid %d executed %d ops, over the ceiling %d", pid, ops, chaos.Bound(n))
 				}
@@ -176,24 +185,27 @@ func TestKillAllButOneEveryLayout(t *testing.T) {
 			for pid := 1; pid < p; pid++ {
 				plan.KillAt(pid, int64(2*pid+1))
 			}
-			rt := native.New(native.Config{
-				P: p, Mem: size, Seed: 11, CountOps: true,
-				Less: lessFor(keys), Adversary: plan,
+			mem := make([]model.Word, size)
+			s.Seed(mem)
+			tm := native.NewTeam(p, true)
+			defer tm.Close()
+			run := tm.Start(native.TeamJob{
+				Mem: mem, Seed: 11, Less: lessFor(keys), Adversary: plan,
+				Graph: graphOf(s.Program()),
 			})
-			s.Seed(rt.Memory())
-			met, err := rt.Run(s.Program())
+			met, err := run.Wait()
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
 			if met.Killed != p-1 {
 				t.Fatalf("killed = %d, want %d", met.Killed, p-1)
 			}
-			for i, r := range s.Places(rt.Memory()) {
+			for i, r := range s.Places(mem) {
 				if r != want[i] {
 					t.Fatalf("element %d placed %d, want %d", i+1, r, want[i])
 				}
 			}
-			ops := rt.OpsPerProc()
+			ops := run.OpsPerProc()
 			for pid := 1; pid < p; pid++ {
 				if wantOps := int64(2 * pid); ops[pid] != wantOps {
 					t.Errorf("victim %d executed %d ops, want exactly %d", pid, ops[pid], wantOps)

@@ -5,39 +5,49 @@ import (
 	"testing"
 	"time"
 
+	"wfsort/internal/engine"
 	"wfsort/internal/model"
 )
 
+// graphOf wraps an ad-hoc program in a one-phase graph a Team can run.
+func graphOf(prog model.Program) *engine.Graph {
+	return engine.New("test").Add(engine.Phase{Name: "test", Quiet: true, Body: func(p model.Proc, _ any) { prog(p) }})
+}
+
 func TestAllProcessorsRun(t *testing.T) {
 	const p = 8
-	rt := New(Config{P: p, Mem: p})
-	_, err := rt.Run(func(pr model.Proc) {
+	tm := NewTeam(p, false)
+	defer tm.Close()
+	mem := make([]Word, p)
+	_, err := tm.Run(TeamJob{Mem: mem, Graph: graphOf(func(pr model.Proc) {
 		pr.Write(pr.ID(), model.Word(pr.ID()+1))
-	})
+	})})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for i := 0; i < p; i++ {
-		if rt.Memory()[i] != model.Word(i+1) {
-			t.Errorf("mem[%d] = %d, want %d", i, rt.Memory()[i], i+1)
+		if mem[i] != model.Word(i+1) {
+			t.Errorf("mem[%d] = %d, want %d", i, mem[i], i+1)
 		}
 	}
 }
 
 func TestCASExactlyOneWinner(t *testing.T) {
 	const p = 16
-	rt := New(Config{P: p, Mem: 1 + p})
-	_, err := rt.Run(func(pr model.Proc) {
+	tm := NewTeam(p, false)
+	defer tm.Close()
+	mem := make([]Word, 1+p)
+	_, err := tm.Run(TeamJob{Mem: mem, Graph: graphOf(func(pr model.Proc) {
 		if pr.CAS(0, model.Empty, model.Word(pr.ID()+1)) {
 			pr.Write(1+pr.ID(), 1)
 		}
-	})
+	})})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	winners := 0
 	for i := 0; i < p; i++ {
-		if rt.Memory()[1+i] == 1 {
+		if mem[1+i] == 1 {
 			winners++
 		}
 	}
@@ -48,18 +58,12 @@ func TestCASExactlyOneWinner(t *testing.T) {
 
 func TestKillUnwindsProcessor(t *testing.T) {
 	const p = 4
-	rt := New(Config{P: p, Mem: p})
+	tm := NewTeam(p, false)
+	defer tm.Close()
+	mem := make([]Word, p)
 	var entered atomic.Int64
 	done := make(chan struct{})
-	go func() {
-		// Reap processor 0 once it has started working.
-		for entered.Load() == 0 {
-			time.Sleep(time.Microsecond)
-		}
-		rt.Kill(0)
-		close(done)
-	}()
-	met, err := rt.Run(func(pr model.Proc) {
+	run := tm.Start(TeamJob{Mem: mem, Graph: graphOf(func(pr model.Proc) {
 		if pr.ID() == 0 {
 			entered.Add(1)
 			<-done
@@ -68,7 +72,14 @@ func TestKillUnwindsProcessor(t *testing.T) {
 			}
 		}
 		pr.Write(pr.ID(), 1)
-	})
+	})})
+	// Reap processor 0 once it has started working.
+	for entered.Load() == 0 {
+		time.Sleep(time.Microsecond)
+	}
+	tm.Kill(0)
+	close(done)
+	met, err := run.Wait()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -76,19 +87,20 @@ func TestKillUnwindsProcessor(t *testing.T) {
 		t.Errorf("killed = %d, want 1", met.Killed)
 	}
 	for i := 1; i < p; i++ {
-		if rt.Memory()[i] != 1 {
+		if mem[i] != 1 {
 			t.Errorf("survivor %d did not finish", i)
 		}
 	}
 }
 
 func TestOpCounting(t *testing.T) {
-	rt := New(Config{P: 3, Mem: 1, CountOps: true})
-	met, err := rt.Run(func(pr model.Proc) {
+	tm := NewTeam(3, true)
+	defer tm.Close()
+	met, err := tm.Run(TeamJob{Mem: make([]Word, 1), Graph: graphOf(func(pr model.Proc) {
 		for i := 0; i < 5; i++ {
 			pr.Read(0)
 		}
-	})
+	})})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -98,33 +110,29 @@ func TestOpCounting(t *testing.T) {
 }
 
 func TestPanicPropagates(t *testing.T) {
-	rt := New(Config{P: 2, Mem: 1})
-	_, err := rt.Run(func(pr model.Proc) {
+	tm := NewTeam(2, false)
+	defer tm.Close()
+	_, err := tm.Run(TeamJob{Mem: make([]Word, 1), Graph: graphOf(func(pr model.Proc) {
 		if pr.ID() == 1 {
 			panic("kaboom")
 		}
-	})
+	})})
 	if err == nil {
 		t.Fatal("panic was swallowed")
 	}
 }
 
-func TestRunTwiceRejected(t *testing.T) {
-	rt := New(Config{P: 1, Mem: 1})
-	if _, err := rt.Run(func(model.Proc) {}); err != nil {
-		t.Fatalf("first Run: %v", err)
-	}
-	if _, err := rt.Run(func(model.Proc) {}); err == nil {
-		t.Fatal("second Run succeeded, want error")
-	}
-}
-
 func TestLessTieBreak(t *testing.T) {
-	rt := New(Config{P: 1, Mem: 1, Less: func(i, j int) bool { return false }})
-	_, err := rt.Run(func(pr model.Proc) {
-		if pr.Less(3, 3) {
-			t.Error("Less(i,i) must be false")
-		}
+	tm := NewTeam(1, false)
+	defer tm.Close()
+	_, err := tm.Run(TeamJob{
+		Mem:  make([]Word, 1),
+		Less: func(i, j int) bool { return false },
+		Graph: graphOf(func(pr model.Proc) {
+			if pr.Less(3, 3) {
+				t.Error("Less(i,i) must be false")
+			}
+		}),
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -3,39 +3,40 @@ package native
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wfsort/internal/model"
 )
 
-// TestRespawnHelpsFinish kills a worker mid-run and respawns it; the
-// respawned worker must participate (its ops count) and the run must
-// complete.
+// heldRespawner revives a landed kill only once the controller
+// releases it: Respawn reports the death on dead, then blocks until
+// release closes, as a kernel handing a processor back would.
+type heldRespawner struct {
+	dead    chan int
+	release chan struct{}
+}
+
+func (r *heldRespawner) Strike(int, int64) model.Fault { return model.Fault{} }
+
+func (r *heldRespawner) Respawn(pid, deaths int) bool {
+	r.dead <- pid
+	<-r.release
+	return true
+}
+
+// TestRespawnHelpsFinish kills a worker mid-job and revives it through
+// a Respawner that blocks until the controller hands the processor
+// back. The survivors can only finish after the revived incarnation's
+// write, so the job completes only if the revival ran and Wait waited
+// for it.
 func TestRespawnHelpsFinish(t *testing.T) {
 	const p = 4
-	rt := New(Config{P: p, Mem: 1, CountOps: true})
+	tm := NewTeam(p, true)
+	defer tm.Close()
+	adv := &heldRespawner{dead: make(chan int, 1), release: make(chan struct{})}
 	var restarted atomic.Int64
-	started := make(chan struct{})   // worker 0's first incarnation is up
-	respawned := make(chan struct{}) // controller finished kill+respawn
-	go func() {
-		defer close(respawned)
-		<-started
-		rt.Kill(0)
-		// Wait until the kill lands (worker 0 unwinds) before reviving.
-		for {
-			rt.mu.Lock()
-			live := rt.live
-			rt.mu.Unlock()
-			if live == p-1 {
-				break
-			}
-			time.Sleep(10 * time.Microsecond)
-		}
-		if err := rt.Respawn(0); err != nil {
-			t.Errorf("Respawn: %v", err)
-		}
-	}()
-	met, err := rt.Run(func(pr model.Proc) {
+	started := make(chan struct{}) // worker 0's first incarnation is up
+	mem := make([]Word, 1)
+	run := tm.Start(TeamJob{Mem: mem, Adversary: adv, Graph: graphOf(func(pr model.Proc) {
 		if pr.ID() == 0 {
 			if restarted.Add(1) == 1 {
 				// First incarnation: signal the controller and spin
@@ -49,37 +50,27 @@ func TestRespawnHelpsFinish(t *testing.T) {
 			pr.Write(0, 1)
 			return
 		}
-		// Other workers block until the controller has respawned worker
-		// 0, then wait for its write.
-		<-respawned
+		// The survivors wait for the revived incarnation's write.
 		for pr.Read(0) != 1 {
 		}
-	})
-	<-respawned
+	})})
+	<-started
+	tm.Kill(0)
+	if pid := <-adv.dead; pid != 0 {
+		t.Errorf("Respawn asked for pid %d, want 0", pid)
+	}
+	close(adv.release) // hand the processor back
+	met, err := run.Wait()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if met.Killed != 1 {
-		t.Errorf("killed = %d, want 1", met.Killed)
+	if met.Killed != 1 || met.Respawns != 1 {
+		t.Errorf("killed=%d respawns=%d, want 1/1", met.Killed, met.Respawns)
 	}
 	if restarted.Load() != 2 {
 		t.Errorf("worker 0 ran %d times, want 2", restarted.Load())
 	}
-}
-
-func TestRespawnAfterRunRejected(t *testing.T) {
-	rt := New(Config{P: 2, Mem: 1})
-	if _, err := rt.Run(func(model.Proc) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Respawn(0); err == nil {
-		t.Error("respawn after completion accepted")
-	}
-}
-
-func TestRespawnBadPID(t *testing.T) {
-	rt := New(Config{P: 2, Mem: 1})
-	if err := rt.Respawn(7); err == nil {
-		t.Error("out-of-range pid accepted")
+	if mem[0] != 1 {
+		t.Errorf("mem[0] = %d, want the revived incarnation's 1", mem[0])
 	}
 }

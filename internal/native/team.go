@@ -13,20 +13,20 @@ import (
 )
 
 // Team is a resident crew of P worker goroutines that executes
-// successive phase graphs without respawning its workers: the serving
-// layer's counterpart to the single-use Runtime. Each job brings its
-// own memory, ordering and (optionally) adversary/observer; between
-// jobs the workers are parked on their job channels, so steady-state
-// sorts pay no goroutine spawns and reuse the team's kill flags and
-// counters.
+// successive phase graphs without respawning its workers; it is the
+// package's one driver, so a one-off run is a one-job team. Each job
+// brings its own memory, ordering and (optionally) adversary/observer;
+// between jobs the workers are parked on their job channels, so
+// steady-state sorts pay no goroutine spawns and reuse the team's kill
+// flags and counters.
 //
 // A Team runs one job at a time; Start panics if a job is already in
 // flight (the pooling layer above serializes access to each team).
-// Within a job the fault semantics match the Runtime exactly: a killed
-// worker unwinds the program, may be revived by a Respawner adversary
-// with its op ordinal carried across incarnations, and — because the
-// goroutine itself survives the unwind — is back at full strength for
-// the next job regardless of how the previous one treated it.
+// Within a job a killed worker (Kill, or an adversary's strike)
+// unwinds the graph and may be revived by a Respawner adversary with
+// its op ordinal carried across incarnations; because the goroutine
+// itself survives the unwind, it is back at full strength for the next
+// job regardless of how the previous one treated it.
 type Team struct {
 	p        int
 	countOps bool
@@ -52,11 +52,21 @@ type TeamJob struct {
 	Less func(i, j int) bool
 	// Seed determines per-worker RNG streams for this job.
 	Seed uint64
-	// Adversary, when non-nil, is the per-job fault plane (see
-	// Config.Adversary). If it also implements Respawner, killed
-	// workers re-enter the program with fresh incarnations.
+	// Adversary, when non-nil, is the job's fault-injection plane: it
+	// is consulted before every shared-memory operation with the
+	// worker's cumulative op ordinal and may kill or stall it at exact
+	// points in its execution (see model.Adversary and Plan). If it
+	// also implements Respawner, a killed worker may re-enter the graph
+	// as a fresh incarnation once its death has landed.
 	Adversary model.Adversary
-	// Observer, when non-nil, records this job (one Observer per job).
+	// Observer, when non-nil, is the observability plane: each
+	// incarnation records phase transitions, CAS failures, faults and
+	// periodic op-ordinal snapshots into its own wait-free event ring
+	// (see internal/obs), and per-phase latency histograms are merged
+	// into the job's Metrics. When nil — the default — the hot path
+	// pays a single pointer nil-check per operation (gated by the
+	// observer cells of cmd/benchgate). An Observer records at most one
+	// job.
 	Observer *obs.Observer
 	// Traced opts the job into per-phase timing (TeamRun.Timing): each
 	// worker stamps its own slot as it completes a phase, so recording
@@ -303,8 +313,12 @@ func (r *TeamRun) Timing() JobTiming {
 	return t
 }
 
-// Kill marks worker pid of the current job for termination, exactly as
-// Runtime.Kill does mid-run.
+// Kill marks worker pid for termination: its next shared-memory
+// operation unwinds the current job's graph. Safe to call while a job
+// runs — that is its purpose (reaping a sorting thread mid-run, §1 of
+// the paper). The worker comes back only if the job's adversary
+// revives it (Respawner); a kill with no job in flight is cleared by
+// the next Start.
 func (t *Team) Kill(pid int) { t.st.kill[pid].Store(true) }
 
 // Close releases the team's workers. The caller must not have a job in

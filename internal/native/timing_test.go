@@ -121,16 +121,18 @@ func TestNotifyMonotonePerIncarnation(t *testing.T) {
 		}
 		var mu sync.Mutex
 		notified := make([][]int, 4)
-		rt := New(Config{P: 4, Mem: a.Size(), Seed: tc.seed, Less: less, Adversary: plan})
-		s.Seed(rt.Memory())
-		met, err := rt.Run(func(p model.Proc) {
+		mem := make([]Word, a.Size())
+		s.Seed(mem)
+		tm := NewTeam(4, false)
+		met, err := tm.Run(TeamJob{Mem: mem, Seed: tc.seed, Less: less, Adversary: plan, Graph: graphOf(func(p model.Proc) {
 			pid := p.ID()
 			s.Graph().RunNotify(p, func(k int) {
 				mu.Lock()
 				notified[pid] = append(notified[pid], k)
 				mu.Unlock()
 			})
-		})
+		})})
+		tm.Close()
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}

@@ -57,15 +57,15 @@ type Violation struct {
 // (watchdog, /metrics) run concurrently with the owning goroutine.
 type pidCell struct {
 	op   atomic.Int64 // latest published op ordinal
-	live atomic.Int32 // running incarnations (0 or 1; transiently 2 during respawn)
+	live atomic.Int32 // running incarnations (0 or 1)
 	_    [6]int64     // keep cells off each other's cache lines
 }
 
 // Observer is the observability plane for one native run. Create with
-// New, pass as native.Config.Observer; like the runtime it drives at
-// most one run. All exported read methods are safe during the run; the
-// trace/metrics exports want the run finished (Runtime.Run returning
-// is the synchronization point).
+// New and pass as native.TeamJob.Observer; it records at most one job.
+// All exported read methods are safe during the run; the trace/metrics
+// exports want the run finished (the job's Wait returning is the
+// synchronization point).
 type Observer struct {
 	cfg   Config
 	start time.Time

@@ -21,7 +21,7 @@
 //     advancing — a runtime wait-freedom violation detector
 //     complementing internal/chaos's offline op-ceiling certification.
 //
-// Everything is opt-in: native.Config.Observer is nil by default and
+// Everything is opt-in: native.TeamJob.Observer is nil by default and
 // the hot-path hook is a single pointer nil-check (gated by the
 // observer cells of cmd/benchgate).
 package obs

@@ -35,25 +35,22 @@ func TestWatchdogFlagsPermanentStall(t *testing.T) {
 		StallIntervals: 3,
 	})
 	pl := native.NewPlan().BlockAt(1, 50)
-	rt := native.New(native.Config{
-		P: p, Mem: a.Size(), Seed: 1, Less: harness.LessFor(keys),
-		CountOps: true, Adversary: pl, Observer: ob,
+	mem := make([]model.Word, a.Size())
+	s.Seed(mem)
+	team := native.NewTeam(p, true)
+	defer team.Close()
+	run := team.Start(native.TeamJob{
+		Graph: s.Graph(), Mem: mem, Seed: 1, Less: harness.LessFor(keys),
+		Adversary: pl, Observer: ob,
 	})
-	s.Seed(rt.Memory())
 
-	go func() {
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
-			if len(ob.Violations()) > 0 {
-				rt.Kill(1)
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		rt.Kill(1) // unwedge the run even if the watchdog never fired
-	}()
-
-	if _, err := rt.Run(s.Program()); err != nil {
+	// Kill the blocked pid once the watchdog flags it, or after 20 s to
+	// unwedge the run even if the watchdog never fires.
+	for deadline := time.Now().Add(20 * time.Second); len(ob.Violations()) == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	team.Kill(1)
+	if _, err := run.Wait(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	vs := ob.Violations()
@@ -69,7 +66,7 @@ func TestWatchdogFlagsPermanentStall(t *testing.T) {
 		}
 	}
 	// The survivors must still have finished the sort.
-	ranks := s.Places(rt.Memory())
+	ranks := s.Places(mem)
 	out := make([]int, n)
 	for i, r := range ranks {
 		out[r-1] = keys[i]
@@ -92,11 +89,13 @@ func TestWatchdogSilentOnFaultlessRun(t *testing.T) {
 		Watchdog:       20 * time.Millisecond,
 		StallIntervals: 5,
 	})
-	rt := native.New(native.Config{
-		P: p, Mem: a.Size(), Seed: 2, Less: harness.LessFor(keys), Observer: ob,
-	})
-	s.Seed(rt.Memory())
-	if _, err := rt.Run(s.Program()); err != nil {
+	mem := make([]model.Word, a.Size())
+	s.Seed(mem)
+	team := native.NewTeam(p, false)
+	defer team.Close()
+	if _, err := team.Run(native.TeamJob{
+		Graph: s.Graph(), Mem: mem, Seed: 2, Less: harness.LessFor(keys), Observer: ob,
+	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if vs := ob.Violations(); len(vs) != 0 {

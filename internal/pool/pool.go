@@ -29,15 +29,12 @@ import (
 type Runner interface {
 	// Seed writes the initial state (WAT seeds) into zeroed memory.
 	Seed(mem []model.Word)
-	// Program returns the per-worker sort program.
-	Program() model.Program
 	// PlacesInto reads the final 1-based ranks of elements 1..len(dst)
 	// out of memory after a completed sort.
 	PlacesInto(mem []model.Word, dst []int)
-	// Graph returns the sorter's phase graph: the same program as
-	// Program, in the declarative form that native.Team runs (with a
-	// completion notification per phase, for timing) and host-side
-	// introspection reads.
+	// Graph returns the sorter's phase graph, the form native.Team
+	// runs (with a completion notification per phase, for timing) and
+	// host-side introspection reads.
 	Graph() *engine.Graph
 }
 

@@ -9,8 +9,10 @@ import (
 	"testing/quick"
 
 	"wfsort/internal/core"
+	"wfsort/internal/engine"
 	"wfsort/internal/layout"
 	"wfsort/internal/lowcont"
+	"wfsort/internal/model"
 	"wfsort/internal/native"
 	"wfsort/internal/pram"
 )
@@ -267,12 +269,19 @@ func sortInLayout[E any](l string, data []E, less func(a, b E) bool, v Variant, 
 		}
 		size = a.Size()
 	}
-	rt := native.New(native.Config{P: p, Mem: size, Seed: seed, Less: funcLess(data, less, n)})
-	g.Seed(rt.Memory())
-	if _, err := rt.Run(g.Program()); err != nil {
+	mem := make([]native.Word, size)
+	g.Seed(mem)
+	team := native.NewTeam(p, false)
+	defer team.Close()
+	if _, err := team.Run(native.TeamJob{Graph: graphOf(g.Program()), Mem: mem, Seed: seed, Less: funcLess(data, less, n)}); err != nil {
 		return err
 	}
-	return permuteInPlace(data, g.Places(rt.Memory()))
+	return permuteInPlace(data, g.Places(mem))
+}
+
+// graphOf wraps a program in a one-phase graph a native.Team can run.
+func graphOf(prog model.Program) *engine.Graph {
+	return engine.New("test").Add(engine.Phase{Name: "test", Quiet: true, Body: func(p model.Proc, _ any) { prog(p) }})
 }
 
 // TestSortLayoutsProperty is the cross-layout property test: for every
